@@ -85,27 +85,23 @@ METHODS: dict[str, Callable] = {
     "dictionary": _run_dictionary,
 }
 
-#: Keyed by (circuit name, structural signature, seed, min_patterns): the
-#: provisioned content is a pure function of the netlist and seed, and the
-#: signature keeps two different netlists that share a name apart.
-_pattern_cache: dict[tuple, PatternSet] = {}
-
-
-def _netlist_signature(netlist: Netlist) -> tuple:
-    stats = netlist.stats()
-    return (netlist.name, stats["inputs"], stats["outputs"], stats["gates"])
+#: Keyed by (netlist content fingerprint, seed, min_patterns): the
+#: provisioned content is a pure function of the netlist's structure and
+#: the seed, so two different netlists that share a name and size never
+#: share a test set.
+_pattern_cache: dict[tuple[str, int, int], PatternSet] = {}
 
 
 def provision_patterns(
     netlist: Netlist, seed: int = 7, min_patterns: int = 16
 ) -> PatternSet:
-    """ATPG-provisioned (compacted, topped-off) test set, cached per circuit.
+    """ATPG-provisioned (compacted, topped-off) test set, cached by content.
 
     Tops up with random patterns when the compacted set is very short, so
     every circuit sees a believable production test length and delay
     defects get launch/capture diversity.
     """
-    key = (_netlist_signature(netlist), seed, min_patterns)
+    key = (netlist.fingerprint(), seed, min_patterns)
     cached = _pattern_cache.get(key)
     if cached is not None:
         return cached

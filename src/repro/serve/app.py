@@ -480,15 +480,36 @@ class DiagnosisDaemon(ExecutorCallbacks):
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Thin byte shuffler between the socket and :meth:`DiagnosisDaemon.handle`."""
+    """Thin byte shuffler between the socket and :meth:`DiagnosisDaemon.handle`.
+
+    Nagle is off, and responses go through a write buffer that
+    ``handle_one_request`` flushes once per request, so status line,
+    headers and body leave in one write.  A keep-alive client delays the
+    ACK of a small segment by up to ~40 ms, and with Nagle on, a second
+    small write (the body after the headers) waits for exactly that ACK.
+    """
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    #: A response up to this size leaves in one write; a larger one takes
+    #: several, which cannot stall with Nagle off.
+    wbufsize = 1 << 16
 
     def _dispatch(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        response = self.server.daemon.handle(self.command, self.path, body)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if declared.isascii() and declared.isdigit():
+            length = int(declared)
+            body = self.rfile.read(length) if length else b""
+            response = self.server.daemon.handle(self.command, self.path, body)
+        else:
+            # Without the body's length the next request on this
+            # connection cannot be framed: answer, then hang up.
+            response = Response.json(
+                400,
+                {"error": f"malformed Content-Length header {declared!r}"},
+                connection="close",
+            )
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(response.body)))

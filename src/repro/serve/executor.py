@@ -2,8 +2,12 @@
 
 Jobs are routed to a fixed worker slot by a stable hash of their
 ``(circuit, pattern_seed)`` shard key, so repeated jobs against one
-device family hit the same worker -- and therefore the same warmed
-``SimContext``/kernel caches -- instead of bouncing between cold workers.
+device family hit the same worker instead of bouncing between cold ones.
+What stays warm per shard key is held by :func:`warm_shard`: the loaded
+netlist (with its fanin/fanout cone memos), the provisioned test set,
+and through them the content-keyed ``SimContext``/kernel caches.  An
+entry is filled by the key's first job, never at start-up, and the
+least recently used key is dropped past :data:`WARM_SHARD_LIMIT`.
 
 The failure discipline is the campaign runner's, reused rather than
 reinvented: an in-job exception is classified through the
@@ -35,6 +39,7 @@ in-flight jobs run to completion under the drain deadline.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import queue
 import threading
@@ -45,6 +50,7 @@ from repro import chaos
 from repro.campaign.driver import provision_patterns
 from repro.campaign.runner import backoff_delay
 from repro.circuit.library import load_circuit
+from repro.circuit.netlist import Netlist
 from repro.core.budget import Budget, CancellationToken, qos_class
 from repro.core.diagnose import DiagnosisConfig, Diagnoser
 from repro.core.single_fault import diagnose_single_fault
@@ -52,8 +58,31 @@ from repro.core.slat import diagnose_slat
 from repro.errors import TRANSIENT_CAUSES, TrialError, classify_cause
 from repro.obs.metrics import record_watchdog_requeue, record_watchdog_respawn
 from repro.serve.protocol import JobSpec
+from repro.sim.patterns import PatternSet
 
 _STOP = object()
+
+
+# -- warm shards -------------------------------------------------------------
+
+#: Shard keys whose netlist and test set stay loaded.  Shard-affine
+#: routing sends a key to one worker, so this covers a few keys per
+#: worker at the default pool size; an evicted key reloads on its next job.
+WARM_SHARD_LIMIT = 8
+
+
+@functools.lru_cache(maxsize=WARM_SHARD_LIMIT)
+def warm_shard(circuit: str, pattern_seed: int) -> tuple[Netlist, PatternSet]:
+    """The shard key's loaded netlist and provisioned test set.
+
+    Loaded by the key's first job, never at start-up, then shared by every
+    job of the key.  A key's jobs run on one worker thread, so its
+    netlist's cone memos are filled by one thread at a time except after
+    a watchdog requeue; those memos are idempotent, so that race only
+    repeats work.
+    """
+    netlist = load_circuit(circuit)
+    return netlist, provision_patterns(netlist, pattern_seed)
 
 
 # -- job execution (the daemon's unit of work) -------------------------------
@@ -67,10 +96,10 @@ def execute_job(spec: JobSpec, token: CancellationToken | None = None,
     ``noise_report`` is set, strict parse otherwise, method dispatch, and
     the optional post-diagnosis oracle.  The budget comes from the job's
     QoS class (degraded under load) unless the spec carries explicit
-    overrides; ``token`` keeps the run cancellable either way.
+    overrides; ``token`` keeps the run cancellable either way.  The
+    netlist and test set come warm from :func:`warm_shard`.
     """
-    netlist = load_circuit(spec.circuit)
-    patterns = provision_patterns(netlist, spec.pattern_seed)
+    netlist, patterns = warm_shard(spec.circuit, spec.pattern_seed)
     raw = None
     if spec.noise_report:
         from repro.tester.noise import ingest_text

@@ -99,7 +99,8 @@ class JobSpec:
     @property
     def shard_key(self) -> str:
         """Executor affinity key: jobs for one (circuit, test set) land on
-        one worker so the ``SimContext``/kernel caches stay hot."""
+        one worker and share one warm netlist, test set and set of
+        ``SimContext``/kernel caches (see :mod:`repro.serve.executor`)."""
         return f"{self.circuit}:{self.pattern_seed}"
 
     def fingerprint(self) -> str:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign import driver
 from repro.campaign.driver import (
     Campaign,
     CampaignConfig,
@@ -10,8 +11,19 @@ from repro.campaign.driver import (
     run_campaign,
 )
 from repro.campaign.samplers import PURE_MIXES
+from repro.circuit.builder import NetlistBuilder
 from repro.circuit.library import load_circuit
 from repro.errors import ReproError
+
+
+def _dut(op: str):
+    """Three inputs, ``x = op(a, c)``, ``y = OR(x, b)``: same name and
+    sizes whatever ``op`` is."""
+    b = NetlistBuilder("dut")
+    a, bb, c = b.input("a"), b.input("b"), b.input("c")
+    x = getattr(b, op)(a, c, name="x")
+    b.output(b.or_(x, bb, name="y"))
+    return b.build()
 
 
 class TestProvisioning:
@@ -25,6 +37,21 @@ class TestProvisioning:
         n = load_circuit("c17")
         pats = provision_patterns(n, seed=8, min_patterns=20)
         assert pats.n >= 12  # dedup may trim, but well above the tiny core set
+
+    def test_same_name_and_size_netlists_do_not_share_patterns(
+        self, monkeypatch
+    ):
+        fresh = {}
+        for op in ("and_", "xor"):
+            monkeypatch.setattr(driver, "_pattern_cache", {})
+            fresh[op] = provision_patterns(_dut(op)).fingerprint()
+        assert fresh["and_"] != fresh["xor"]
+        monkeypatch.setattr(driver, "_pattern_cache", {})
+        and_patterns = provision_patterns(_dut("and_"))
+        xor_patterns = provision_patterns(_dut("xor"))
+        assert xor_patterns is not and_patterns
+        assert xor_patterns.fingerprint() == fresh["xor"]
+        assert provision_patterns(_dut("xor")) is xor_patterns
 
 
 class TestCampaign:
