@@ -16,11 +16,18 @@ failing outputs of t** -- no fault model enters the criterion.  This
 subsumes and sharpens SLAT: SLAT additionally demands a singleton whose
 flips come from one stuck-at value across patterns.
 
-Everything here is bit-parallel *over the failing patterns only*: passing
-patterns carry no per-test information (every multiplet trivially
-"explains" them with the all-pins assignment), so the analysis simulates
-on the failing-pattern subset, which keeps assignment enumeration cheap
-even for multiplet sizes of 5-6.
+Everything here is bit-parallel on the test set's pattern-index axis (bit
+``i`` is pattern ``i``).  What a flip or a flip/pin assignment does at
+the outputs depends only on the circuit and the test set, never on the
+die, so every single-site flip and joint resimulation is answered by the
+shared :func:`~repro.sim.cache.sim_context` of ``(netlist, patterns)``:
+a die whose circuit and test set an earlier die already used reads the
+earlier die's flips from the memo instead of simulating them.  Each
+returned diff is masked to the die's failing patterns -- passing patterns
+carry no per-test information (every multiplet trivially "explains" them
+with the all-pins assignment), and patterns simulate independently, so
+the masked diff is exactly what simulating the failing patterns alone
+would give.
 
 Relationship to the X-cover stage: X injection is the sound
 over-approximation (necessary condition) used to prune the candidate
@@ -40,26 +47,29 @@ from repro.circuit.netlist import Netlist, Site
 from repro.core.budget import Budget
 from repro.core.xcover import Atom
 from repro.sim.cache import SimContext, sim_context
-from repro.sim.event import changed_outputs, resimulate_with_overrides
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
+
+
+def _masked(diff: Mapping[str, int], mask: int) -> dict[str, int]:
+    """``diff`` restricted to the patterns in ``mask`` (empty outputs dropped)."""
+    return {out: vec & mask for out, vec in diff.items() if vec & mask}
 
 
 def _match_vector(
     diff: Mapping[str, int],
     obs_vec: Mapping[str, int],
     x_vec: Mapping[str, int],
-    work_mask: int,
+    mask: int,
 ) -> int:
-    """Work positions where ``diff`` reproduces the observed failure exactly.
+    """Patterns in ``mask`` where ``diff`` reproduces the observed failure exactly.
 
-    Bit ``pos`` is set iff the assignment's predicted flips (X-tier strobes
-    excluded) equal the observed failing outputs of position ``pos`` and
-    are non-empty.  One pass of integer ops over the output alphabet
-    replaces a per-position set comparison -- the inner loop of cover
-    verification.
+    Bit ``i`` is set iff the assignment's predicted flips (X-tier strobes
+    excluded) equal the observed failing outputs of pattern ``i`` and are
+    non-empty.  One pass of integer ops over the output alphabet replaces
+    a per-pattern set comparison -- the inner loop of cover verification.
     """
-    match = work_mask
+    match = mask
     pred_any = 0
     for out, obs in obs_vec.items():
         pred = diff.get(out, 0) & ~x_vec.get(out, 0)
@@ -68,7 +78,7 @@ def _match_vector(
     for out, vec in diff.items():
         if out not in obs_vec:
             # Predicted flip on a never-failing output: disqualifies the
-            # position unless the strobe is X-tier (evidence-free).
+            # pattern unless the strobe is X-tier (evidence-free).
             pred = vec & ~x_vec.get(out, 0)
             match &= ~pred
             pred_any |= pred
@@ -79,40 +89,33 @@ def _match_vector(
 class PerTestAnalysis:
     """Single-flip effects of every candidate site plus joint-flip services.
 
-    Internally all diff vectors live in *work space*: bit ``j`` refers to
-    the ``j``-th failing pattern.  Public accessors take and return
-    original pattern indices.
+    Every diff vector is on the test set's pattern-index axis, masked to
+    the datalog's failing patterns.
     """
 
     netlist: Netlist
-    patterns: PatternSet  #: the full applied test set (original indices)
+    patterns: PatternSet  #: the full applied test set
     datalog: Datalog
     sites: tuple[Site, ...]
     atoms: frozenset[Atom]
     site_atoms: dict[Site, frozenset[Atom]]
-    #: failing pattern (original index) -> sites whose lone flip reproduces it
+    #: failing pattern -> sites whose lone flip reproduces it
     exact_singletons: dict[int, tuple[Site, ...]]
-    #: per-site per-output flip diffs in work space
+    #: per-site per-output flip diffs, masked to the failing patterns
     flip_diff: dict[Site, dict[str, int]]
-    _work_patterns: PatternSet = None  # type: ignore[assignment]
-    _work_base: dict[str, int] = field(default_factory=dict)
-    _pos_of: dict[int, int] = field(default_factory=dict)
-    _observed_pos: dict[int, frozenset[str]] = field(default_factory=dict)
-    #: per work position, outputs whose strobe is X (quarantined/masked):
-    #: predictions there are evidence-free and excluded from exact matching
-    _x_pos: dict[int, frozenset[str]] = field(default_factory=dict)
-    #: transposed evidence: output -> work-position bit vectors of observed
-    #: failing (resp. X-tier) strobes, for bit-parallel exact matching
+    #: the shared context of ``(netlist, patterns)``: every flip and joint
+    #: resimulation is read from its memo, across dies as well as stages
+    _ctx: SimContext
+    #: bit ``i`` set iff pattern ``i`` failed
+    _fail_mask: int
+    #: observed failing (resp. X-tier) strobes of the failing patterns as
+    #: per-output vectors, for bit-parallel exact matching
     _obs_vec: dict[str, int] = field(default_factory=dict)
     _x_vec: dict[str, int] = field(default_factory=dict)
-    #: (flips, pins) -> per-output work-space diff cache
+    #: (flips, pins) -> masked per-output diff cache
     _joint_cache: dict[
         tuple[frozenset[Site], frozenset[Site]], dict[str, int]
     ] = field(default_factory=dict)
-    #: shared simulation context over the failing-pattern subset; joint
-    #: resimulations route through its override-signature memo so repeated
-    #: requests (across covers, trials, stages) are simulated once
-    _ctx: SimContext | None = None
 
     # -- single-site queries ---------------------------------------------------
 
@@ -122,11 +125,12 @@ class PerTestAnalysis:
 
     def diff_at(self, site: Site, pattern_index: int) -> frozenset[str]:
         """Outputs flipped by inverting ``site`` under one failing pattern."""
-        pos = self._pos_of[pattern_index]
         diff = self.flip_diff.get(site)
         if diff is None:
             diff = self.assignment_diff((site,))
-        return frozenset(out for out, vec in diff.items() if (vec >> pos) & 1)
+        return frozenset(
+            out for out, vec in diff.items() if (vec >> pattern_index) & 1
+        )
 
     def exact_match(self, site: Site, pattern_index: int) -> bool:
         return site in self.exact_singletons.get(pattern_index, ())
@@ -136,7 +140,8 @@ class PerTestAnalysis:
     def assignment_diff(
         self, flips: Iterable[Site], pins: Iterable[Site] = ()
     ) -> dict[str, int]:
-        """Work-space per-output diff of flipping ``flips`` / pinning ``pins``.
+        """Per-output diff of flipping ``flips`` / pinning ``pins``, masked
+        to the failing patterns.
 
         Pinned sites are overridden at their fault-free values, modeling a
         defect site that agrees with the healthy value but still dominates
@@ -158,24 +163,16 @@ class PerTestAnalysis:
         if not flip_key:
             result: dict[str, int] = {}
         else:
-            mask = self._work_patterns.mask
-            overrides = {
-                site: (self._work_base[site.net] ^ mask) & mask for site in flip_key
-            }
+            base, mask = self._ctx.base, self._ctx.mask
+            overrides = {site: (base[site.net] ^ mask) & mask for site in flip_key}
             for site in pin_key:
-                overrides[site] = self._work_base[site.net]
-            if self._ctx is not None:
-                result = self._ctx.resim_diff(overrides)
-            else:
-                changed = resimulate_with_overrides(
-                    self.netlist, self._work_base, overrides, mask
-                )
-                result = changed_outputs(self.netlist, changed, self._work_base, mask)
+                overrides[site] = base[site.net]
+            result = _masked(self._ctx.resim_diff(overrides), self._fail_mask)
         self._joint_cache[key] = result
         return result
 
     def joint_flip_diff(self, sites: Iterable[Site]) -> dict[str, int]:
-        """Work-space per-output diff of flipping all ``sites`` (no pins)."""
+        """Masked per-output diff of flipping all ``sites`` (no pins)."""
         return self.assignment_diff(sites)
 
     def subset_explains(self, subset: Sequence[Site], pattern_index: int) -> bool:
@@ -185,32 +182,29 @@ class PerTestAnalysis:
         strobes of the pattern carry no evidence, so predicted flips
         there neither help nor disqualify a match.
         """
-        bit = 1 << self._pos_of[pattern_index]
-        work_mask = self._work_patterns.mask
+        bit = self._fail_mask & (1 << pattern_index)
         sites = list(dict.fromkeys(subset))
         for r in range(1, len(sites) + 1):
             for flips in combinations(sites, r):
                 diff = self.assignment_diff(flips, sites)
-                if _match_vector(diff, self._obs_vec, self._x_vec, work_mask) & bit:
+                if _match_vector(diff, self._obs_vec, self._x_vec, bit):
                     return True
         return False
 
     def explained_patterns(
         self, multiplet: Sequence[Site], max_flips: int | None = None
     ) -> set[int]:
-        """Failing patterns (original indices) explained by some flip/pin
-        assignment of the multiplet.
+        """Failing patterns explained by some flip/pin assignment of the
+        multiplet.
 
         Enumerates flip sets by increasing size with the remaining sites
-        pinned; each assignment costs one bit-parallel resimulation over
-        the failing patterns, cached across calls.
+        pinned; each assignment costs one bit-parallel resimulation, cached
+        across calls and across dies.
         """
         sites = list(dict.fromkeys(multiplet))
         limit = len(sites) if max_flips is None else min(max_flips, len(sites))
-        work_mask = self._work_patterns.mask
-        remaining = work_mask
+        remaining = self._fail_mask
         explained: set[int] = set()
-        failing = self.datalog.failing_indices
         for size in range(1, limit + 1):
             if not remaining:
                 break
@@ -218,14 +212,11 @@ class PerTestAnalysis:
                 if not remaining:
                     break
                 diff = self.assignment_diff(flips, sites)
-                hits = (
-                    _match_vector(diff, self._obs_vec, self._x_vec, work_mask)
-                    & remaining
-                )
+                hits = _match_vector(diff, self._obs_vec, self._x_vec, remaining)
                 remaining &= ~hits
                 while hits:
                     low = hits & -hits
-                    explained.add(failing[low.bit_length() - 1])
+                    explained.add(low.bit_length() - 1)
                     hits ^= low
         return explained
 
@@ -244,35 +235,19 @@ def build_pertest(
     """Compute single-flip effects and exact singleton matches for ``sites``.
 
     ``base_values`` (full-test-set fault-free values) is accepted for API
-    symmetry but the analysis derives its own failing-subset simulation.
+    symmetry; the flips are read from the shared context's own base.
 
     Under a ``budget`` the single-flip sweep is checked per site (each
-    costs one cone-restricted resimulation, charged as one expansion); on
-    exhaustion the analysis covers only the sites swept so far and a
-    ``pertest`` truncation is recorded.
+    costs at most one cone-restricted resimulation, charged as one
+    expansion); on exhaustion the analysis covers only the sites swept so
+    far and a ``pertest`` truncation is recorded.
     """
-    del base_values  # the analysis works on the failing-pattern subset
+    del base_values
+    ctx = sim_context(netlist, patterns)
     failing = datalog.failing_indices
-    work = patterns.subset(list(failing))
-    ctx = sim_context(netlist, work)
-    work_base = ctx.base
-    pos_of = {idx: pos for pos, idx in enumerate(failing)}
-    observed_pos = {
-        pos: datalog.failing_outputs_of(idx) for pos, idx in enumerate(failing)
-    }
-    x_pos = {
-        pos: datalog.x_outputs_of(idx)
-        for pos, idx in enumerate(failing)
-        if datalog.x_outputs_of(idx)
-    }
+    fail_mask = sum(1 << idx for idx in failing)
     atoms = frozenset(datalog.fail_atoms())
-    # Transposed work-space evidence comes packed straight from the
-    # datalog (built once per datalog, shared across analyses and stages)
-    # instead of being re-transposed here; the work axis is the same (bit
-    # j = j-th failing record, records are sorted by pattern index, and
-    # `failing` above preserves that order).  The shared dicts are
-    # read-only -- _match_vector and the atom sweeps only probe them.
-    obs_vec = datalog.fail_vectors()
+    obs_vec = datalog.observed_diff(netlist.outputs)
     x_vec = datalog.fail_x_vectors()
 
     flip_diff: dict[Site, dict[str, int]] = {}
@@ -293,7 +268,7 @@ def build_pertest(
             # Charged per site regardless of memo warmth, so anytime
             # truncation points stay deterministic across cache states.
             budget.charge()
-        diff = ctx.flip_signature(site)
+        diff = _masked(ctx.flip_signature(site), fail_mask)
         flip_diff[site] = diff
         # Response-signature dedup: a site whose flip leaves the same
         # output signature as an earlier one is behaviorally equivalent on
@@ -309,10 +284,10 @@ def build_pertest(
             continue
         covered: set[Atom] = set()
         matched_here: list[int] = []
-        hits = _match_vector(diff, obs_vec, x_vec, work.mask)
+        hits = _match_vector(diff, obs_vec, x_vec, fail_mask)
         while hits:
             low = hits & -hits
-            idx = failing[low.bit_length() - 1]
+            idx = low.bit_length() - 1
             exact[idx].append(site)
             matched_here.append(idx)
             hits ^= low
@@ -320,7 +295,7 @@ def build_pertest(
             reproduced = vec & obs_vec.get(out, 0) & ~x_vec.get(out, 0)
             while reproduced:
                 low = reproduced & -reproduced
-                covered.add((failing[low.bit_length() - 1], out))
+                covered.add((low.bit_length() - 1, out))
                 reproduced ^= low
         site_atoms[site] = frozenset(covered)
         sig_seen[signature] = (site, tuple(matched_here))
@@ -334,14 +309,10 @@ def build_pertest(
         site_atoms=site_atoms,
         exact_singletons={idx: tuple(v) for idx, v in exact.items()},
         flip_diff=flip_diff,
-        _work_patterns=work,
-        _work_base=work_base,
-        _pos_of=pos_of,
-        _observed_pos=observed_pos,
-        _x_pos=x_pos,
+        _ctx=ctx,
+        _fail_mask=fail_mask,
         _obs_vec=obs_vec,
         _x_vec=x_vec,
-        _ctx=ctx,
     )
     for site in sites:
         analysis._joint_cache[(frozenset((site,)), frozenset())] = flip_diff[site]

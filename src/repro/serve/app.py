@@ -478,6 +478,14 @@ class DiagnosisDaemon(ExecutorCallbacks):
 
 # -- HTTP wrapper ------------------------------------------------------------
 
+#: Largest request body the handler reads, 1 MiB; a larger declared
+#: ``Content-Length`` gets a 413 unread, since ``rfile.read`` allocates the
+#: declared size up front.  The largest job body a shipped circuit's
+#: datalog can produce -- every pattern of its provisioned test set
+#: failing at every output -- is about 8 KiB (``dec5``: 64 patterns, 32
+#: outputs), so the ceiling leaves over a hundredfold headroom.
+MAX_BODY_BYTES = 1 << 20
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Thin byte shuffler between the socket and :meth:`DiagnosisDaemon.handle`.
@@ -498,18 +506,29 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self) -> None:
         declared = (self.headers.get("Content-Length") or "0").strip()
-        if declared.isascii() and declared.isdigit():
-            length = int(declared)
-            body = self.rfile.read(length) if length else b""
-            response = self.server.daemon.handle(self.command, self.path, body)
-        else:
-            # Without the body's length the next request on this
-            # connection cannot be framed: answer, then hang up.
+        # Leading zeros go first: int() refuses strings over 4,300 digits.
+        digits = declared.lstrip("0") or "0"
+        # Either refusal leaves the body unread, so the next request on
+        # this connection cannot be framed: answer, then hang up.
+        if not (declared.isascii() and declared.isdigit()):
             response = Response.json(
                 400,
                 {"error": f"malformed Content-Length header {declared!r}"},
                 connection="close",
             )
+        elif len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            response = Response.json(
+                413,
+                {
+                    "error": f"request body of {digits} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit"
+                },
+                connection="close",
+            )
+        else:
+            length = int(digits)
+            body = self.rfile.read(length) if length else b""
+            response = self.server.daemon.handle(self.command, self.path, body)
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(response.body)))

@@ -29,6 +29,7 @@ truncation behavior stays deterministic regardless of cache warmth.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Mapping
 
@@ -46,8 +47,9 @@ from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.sim.threeval import x_injection_reach
 
-#: Registry capacity: a campaign trial touches at most a handful of
-#: contexts (full pattern set + the failing-subset of each engine).
+#: Registry capacity: a campaign trial touches a handful of contexts (its
+#: full test set, plus one per derived pattern set such as an adaptive
+#: diagnostic top-off).
 MAX_CONTEXTS = 16
 
 #: Per-context bound on each memo table; on overflow the table is cleared
@@ -222,6 +224,11 @@ class SimContext:
 
 _CONTEXTS: OrderedDict[tuple[str, str], SimContext] = OrderedDict()
 
+#: Guards :data:`_CONTEXTS`: the service's worker threads share the
+#: registry, and an unguarded lookup can ``move_to_end`` a key another
+#: thread's insert has just evicted.
+_LOCK = threading.Lock()
+
 
 def _evict_overflow() -> None:
     """Enforce :data:`MAX_CONTEXTS` by dropping least-recently-used entries.
@@ -229,6 +236,7 @@ def _evict_overflow() -> None:
     Called on every insert (not only on lookup), so a campaign that never
     repeats a ``(netlist, patterns)`` key -- a multi-circuit sweep -- holds
     at most ``MAX_CONTEXTS`` contexts no matter how many trials it runs.
+    The caller holds :data:`_LOCK`.
     """
     while len(_CONTEXTS) > MAX_CONTEXTS:
         _CONTEXTS.popitem(last=False)
@@ -248,17 +256,24 @@ def sim_context(netlist: Netlist, patterns: PatternSet) -> SimContext:
     fresh one.
     """
     key = (netlist.fingerprint(), patterns.fingerprint())
-    ctx = _CONTEXTS.get(key)
+    with _LOCK:
+        ctx = _CONTEXTS.get(key)
+        if ctx is not None:
+            _CONTEXTS.move_to_end(key)
     if ctx is not None:
         COUNTERS.context_hits += 1
         trace_event("sim.context_cache", hit=True)
-        _CONTEXTS.move_to_end(key)
         return ctx
     COUNTERS.context_misses += 1
     trace_event("sim.context_cache", hit=False, circuit=netlist.name)
-    ctx = SimContext(netlist, patterns)
-    _CONTEXTS[key] = ctx
-    _evict_overflow()
+    # Built outside the lock, since the base simulation can take a while;
+    # when two threads miss together, the first to register wins and both
+    # share its memos.
+    built = SimContext(netlist, patterns)
+    with _LOCK:
+        ctx = _CONTEXTS.setdefault(key, built)
+        _CONTEXTS.move_to_end(key)
+        _evict_overflow()
     return ctx
 
 
@@ -275,18 +290,20 @@ def active_context(
     the memo and fall through to direct simulation.
     """
     key = (netlist.fingerprint(), patterns.fingerprint())
-    ctx = _CONTEXTS.get(key)
-    if ctx is None:
-        return None
-    if base_values is not None and base_values is not ctx.base:
-        return None
-    _CONTEXTS.move_to_end(key)
+    with _LOCK:
+        ctx = _CONTEXTS.get(key)
+        if ctx is None:
+            return None
+        if base_values is not None and base_values is not ctx.base:
+            return None
+        _CONTEXTS.move_to_end(key)
     return ctx
 
 
 def reset_sim_caches() -> None:
     """Drop every context, kernel and counter (testing/benchmark hook)."""
-    _CONTEXTS.clear()
-    reset_kernel_cache()
-    reset_packed_cache()
-    COUNTERS.reset()
+    with _LOCK:
+        _CONTEXTS.clear()
+        reset_kernel_cache()
+        reset_packed_cache()
+        COUNTERS.reset()

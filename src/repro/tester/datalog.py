@@ -92,8 +92,6 @@ class Datalog:
         self.x_atoms: frozenset[tuple[int, str]] = frozenset(
             (idx, out) for idx, out in x_atoms if idx < self.n_observed
         )
-        self._fail_vectors: dict[str, int] | None = None
-        self._fail_x_vectors: dict[str, int] | None = None
         for idx, out in self.x_atoms:
             if idx < 0:
                 raise DatalogError(f"X-masked strobe index {idx} is negative")
@@ -170,48 +168,26 @@ class Datalog:
     def n_fail_atoms(self) -> int:
         return sum(len(rec.failing_outputs) for rec in self.records)
 
-    def fail_vectors(self) -> dict[str, int]:
-        """Per-output failing bit vectors on the packed *work axis*.
-
-        Bit ``j`` of ``fail_vectors()[out]`` is set iff the ``j``-th
-        failing record (``records[j]``) fails output ``out``.  This is the
-        transposed evidence representation the bit-parallel exact matcher
-        in :mod:`repro.core.pertest` consumes; it is built once per
-        datalog (datalogs are immutable) and shared -- callers must not
-        mutate the returned dict.
-        """
-        vecs = self._fail_vectors
-        if vecs is None:
-            vecs = {}
-            for pos, rec in enumerate(self.records):
-                bit = 1 << pos
-                for out in sorted(rec.failing_outputs):
-                    vecs[out] = vecs.get(out, 0) | bit
-            self._fail_vectors = vecs
-        return vecs
-
     def fail_x_vectors(self) -> dict[str, int]:
-        """X-tier strobes of *failing* patterns on the packed work axis.
+        """X-tier strobes of *failing* patterns as per-output bit vectors.
 
-        Same axis as :meth:`fail_vectors` (bit ``j`` = the ``j``-th failing
-        record); X strobes of passing patterns carry no per-test evidence
-        and are omitted.  Shared and cached like :meth:`fail_vectors`.
+        Same pattern-index axis as :meth:`observed_diff`: bit ``i`` of
+        ``fail_x_vectors()[out]`` is set iff pattern ``i`` failed and its
+        ``out`` strobe is X.  X strobes of passing patterns carry no
+        per-test evidence and are omitted.
         """
-        vecs = self._fail_x_vectors
-        if vecs is None:
-            pos_of = {
-                rec.pattern_index: pos for pos, rec in enumerate(self.records)
-            }
-            vecs = {}
-            for idx, out in sorted(self.x_atoms):
-                pos = pos_of.get(idx)
-                if pos is not None:
-                    vecs[out] = vecs.get(out, 0) | (1 << pos)
-            self._fail_x_vectors = vecs
+        vecs: dict[str, int] = {}
+        for idx, out in self.x_atoms:
+            if idx in self._by_index:
+                vecs[out] = vecs.get(out, 0) | (1 << idx)
         return vecs
 
     def observed_diff(self, output_order: Sequence[str]) -> dict[str, int]:
-        """Inverse of :meth:`from_output_diff`: per-output mismatch vectors."""
+        """Inverse of :meth:`from_output_diff`: per-output mismatch vectors.
+
+        Bit ``i`` of ``observed_diff(...)[out]`` is set iff pattern ``i``
+        fails at ``out``; outputs that never fail are omitted.
+        """
         diff = {out: 0 for out in output_order}
         for rec in self.records:
             for out in rec.failing_outputs:

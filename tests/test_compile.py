@@ -15,6 +15,8 @@ mutation -- an edited gate, a changed pattern -- misses cleanly.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -22,7 +24,13 @@ from repro.circuit.gates import GateKind, tv_all_x, tv_xmask
 from repro.circuit.generators import alu, random_dag, ripple_carry_adder
 from repro.circuit.netlist import Site
 from repro.errors import SimulationError
-from repro.sim.cache import active_context, reset_sim_caches, sim_context
+from repro.sim.cache import (
+    MAX_CONTEXTS,
+    active_context,
+    context_cache_size,
+    reset_sim_caches,
+    sim_context,
+)
 from repro.sim.compile import (
     COUNTERS,
     MAX_COMPILED_GATES,
@@ -349,6 +357,68 @@ class TestCacheInvalidation:
         # Behaviorally-equivalent override requests share one simulation.
         flipped = (ctx.base[site.net] ^ pats.mask) & pats.mask
         assert ctx.resim_diff({site: flipped}) is ctx.resim_diff({site: flipped})
+
+    def test_registry_is_safe_across_threads(self):
+        """Daemon worker threads share the registry: with more keys than it
+        holds, one thread's insert evicts the key another is touching."""
+        n = ripple_carry_adder(8)
+        sets = [PatternSet.random(n, 4, seed=seed) for seed in range(40)]
+        assert len(sets) > MAX_CONTEXTS
+        got: list[tuple[PatternSet, object]] = []
+
+        def hammer(offset: int) -> None:
+            for round_ in range(ROUNDS * len(sets)):
+                pats = sets[(offset * 5 + round_) % len(sets)]
+                got.append((pats, sim_context(n, pats)))
+
+        _run_threads(hammer)
+        assert len(got) == THREADS * ROUNDS * len(sets)
+        assert context_cache_size() <= MAX_CONTEXTS
+        for pats, ctx in got:
+            assert ctx.patterns.fingerprint() == pats.fingerprint()
+
+    def test_concurrent_misses_share_one_context(self):
+        n = ripple_carry_adder(8)
+        pats = PatternSet.random(n, 16, seed=3)
+        got: list[object] = []
+        _run_threads(lambda _offset: got.append(sim_context(n, pats)))
+        assert len(got) == THREADS
+        registered = sim_context(n, pats)
+        assert all(ctx is registered for ctx in got)
+
+
+THREADS = 8
+#: Passes over the key list per thread: against an unlocked registry the
+#: race surfaced in a few runs out of ten at 3 passes, in every run at 100.
+ROUNDS = 100
+
+
+def _run_threads(work) -> None:
+    """Run ``work(i)`` on ``THREADS`` threads started together, switching
+    every microsecond so races surface; re-raise the first error."""
+    barrier = threading.Barrier(THREADS)
+    errors: list[BaseException] = []
+
+    def run(offset: int) -> None:
+        barrier.wait(timeout=10)
+        try:
+            work(offset)
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(THREADS)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    if errors:
+        raise errors[0]
 
 
 def _with_one_gate_swapped(netlist):

@@ -1,16 +1,26 @@
 """Exact per-test analysis: the flip-subset explanation criterion."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from repro.campaign.samplers import sample_defect_set
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.generators import ripple_carry_adder
+from repro.circuit.library import load_circuit
 from repro.circuit.netlist import Site
+from repro.core.diagnose import Diagnoser
 from repro.core.pertest import build_pertest, pair_search
 from repro.core.backtrace import candidate_sites
 from repro.faults.models import StuckAtDefect
+from repro.serve.protocol import canonical_report_json
+from repro.sim.cache import SimContext, reset_sim_caches
+from repro.sim.compile import COUNTERS
+from repro.sim.event import changed_outputs, resimulate_with_overrides
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
+from repro.tester.datalog import Datalog
 from repro.tester.harness import apply_test
 
 
@@ -125,3 +135,171 @@ class TestMaskingPairSearch:
             # All patterns singleton-explainable: the truth pair must still work.
             idx = result.datalog.failing_indices[0]
             assert analysis.subset_explains((Site("x"), Site("y")), idx) or True
+
+
+# -- the shared full-test-set context ------------------------------------------
+
+
+def _failing_die(netlist, patterns, k, seed):
+    """The first failing die from ``seed`` on with ``k`` sampled defects."""
+    for offset in range(50):
+        defects = sample_defect_set(netlist, k, seed=seed + 1000 * offset)
+        result = apply_test(netlist, patterns, defects, "fallback")
+        if result.device_fails:
+            return result.datalog, defects
+    raise AssertionError(f"no failing die for k={k} from seed {seed}")
+
+
+def _with_x_strobes(datalog, netlist, rng):
+    """``datalog`` with some non-failing strobes moved to the X tier, at
+    least one of them on a failing pattern."""
+    strobes = [
+        (idx, out)
+        for idx in range(datalog.n_observed)
+        for out in netlist.outputs
+        if out not in datalog.failing_outputs_of(idx)
+    ]
+    on_failing = [s for s in strobes if s[0] in datalog.failing_indices]
+    x = set(rng.sample(strobes, len(strobes) // 10))
+    if on_failing:
+        x.add(rng.choice(on_failing))
+    return Datalog(
+        datalog.circuit_name,
+        datalog.n_patterns,
+        datalog.records,
+        n_observed=datalog.n_observed,
+        x_atoms=x,
+    )
+
+
+class _SubsetOracle:
+    """The per-die reference: simulate the failing patterns alone, then
+    re-index work position ``j`` to the ``j``-th failing pattern."""
+
+    def __init__(self, netlist, patterns, datalog):
+        self.netlist = netlist
+        self.datalog = datalog
+        self.failing = datalog.failing_indices
+        self.work = patterns.subset(list(self.failing))
+        self.base = simulate(netlist, self.work)
+
+    def diff(self, flips, pins=()):
+        mask = self.work.mask
+        overrides = {s: (self.base[s.net] ^ mask) & mask for s in flips}
+        for s in pins:
+            overrides.setdefault(s, self.base[s.net])
+        changed = resimulate_with_overrides(self.netlist, self.base, overrides, mask)
+        work_diff = changed_outputs(self.netlist, changed, self.base, mask)
+        return {
+            out: sum(1 << idx for pos, idx in enumerate(self.failing) if vec >> pos & 1)
+            for out, vec in work_diff.items()
+        }
+
+    def predicted(self, diff, idx):
+        return {out for out, vec in diff.items() if vec >> idx & 1}
+
+    def matches(self, diff, idx):
+        pred = self.predicted(diff, idx) - self.datalog.x_outputs_of(idx)
+        return bool(pred) and pred == self.datalog.failing_outputs_of(idx)
+
+    def explained(self, multiplet):
+        sites = list(dict.fromkeys(multiplet))
+        found = set()
+        for r in range(1, len(sites) + 1):
+            for flips in combinations(sites, r):
+                diff = self.diff(flips, sites)
+                found.update(i for i in self.failing if self.matches(diff, i))
+        return found
+
+
+_DIES = [
+    (name, k, variant)
+    for name in ("rca8", "alu8", "mul8")
+    for k in (1, 2, 3)
+    for variant in ("plain", "x-truncated")
+]
+
+
+class TestSharedContextEquivalence:
+    """Reading flips from the shared full-test-set context, masked to the
+    failing patterns, gives what simulating the failing subset gives."""
+
+    @pytest.mark.parametrize("name, k, variant", _DIES)
+    def test_matches_failing_subset_reference(self, name, k, variant):
+        netlist = load_circuit(name)
+        patterns = PatternSet.random(netlist, 48, seed=k)
+        datalog, defects = _failing_die(netlist, patterns, k, seed=31 * k)
+        rng = random.Random(f"{name}-{k}-{variant}")
+        if variant == "x-truncated":
+            n_failing = len(datalog.failing_indices)
+            datalog = _with_x_strobes(
+                datalog.truncate(max(1, n_failing // 2)), netlist, rng
+            )
+            assert datalog.n_observed < datalog.n_patterns or n_failing == 1
+            assert datalog.x_atoms
+        sites = candidate_sites(netlist, datalog)
+        analysis = build_pertest(netlist, patterns, datalog, sites)
+        oracle = _SubsetOracle(netlist, patterns, datalog)
+
+        flips = {site: oracle.diff((site,)) for site in sites}
+        assert analysis.exact_singletons == {
+            idx: tuple(s for s in sites if oracle.matches(flips[s], idx))
+            for idx in oracle.failing
+        }
+        for site in sites:
+            assert analysis.site_atoms[site] == frozenset(
+                (idx, out)
+                for idx in oracle.failing
+                for out in oracle.predicted(flips[site], idx)
+                & datalog.failing_outputs_of(idx)
+            )
+            for idx in oracle.failing:
+                assert analysis.diff_at(site, idx) == oracle.predicted(
+                    flips[site], idx
+                )
+
+        truth = sorted({s for d in defects for s in d.ground_truth_sites()})
+        multiplets = [tuple(truth)] + [
+            tuple(rng.sample(sites, rng.randint(1, min(3, len(sites)))))
+            for _ in range(12)
+        ]
+        for multiplet in multiplets:
+            assert analysis.explained_patterns(multiplet) == oracle.explained(
+                multiplet
+            ), multiplet
+
+
+class TestCrossDieReuse:
+    def test_second_die_reads_the_first_dies_flips(self, monkeypatch):
+        reset_sim_caches()
+        netlist = load_circuit("alu8")
+        patterns = PatternSet.random(netlist, 40, seed=3)
+        die_a, _ = _failing_die(netlist, patterns, 1, seed=5)
+        swept_a = set(candidate_sites(netlist, die_a))
+        for seed in range(6, 200):
+            die_b, _ = _failing_die(netlist, patterns, 1, seed=seed)
+            if die_b != die_a and swept_a & set(candidate_sites(netlist, die_b)):
+                break
+        diagnoser = Diagnoser(netlist)
+        diagnoser.diagnose(patterns, die_a)
+
+        missed: list[Site] = []
+        flip_signature = SimContext.flip_signature
+
+        def spy(ctx, site):
+            misses = COUNTERS.flip_misses
+            diff = flip_signature(ctx, site)
+            if COUNTERS.flip_misses != misses:
+                missed.append(site)
+            return diff
+
+        monkeypatch.setattr(SimContext, "flip_signature", spy)
+        before = COUNTERS.snapshot()
+        warm = diagnoser.diagnose(patterns, die_b)
+        assert COUNTERS.delta(before)["context_misses"] == 0
+        assert not swept_a & set(missed)
+        monkeypatch.undo()
+
+        reset_sim_caches()
+        cold = Diagnoser(netlist).diagnose(patterns, die_b)
+        assert canonical_report_json(warm) == canonical_report_json(cold)

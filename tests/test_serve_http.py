@@ -3,7 +3,8 @@
 ``test_serve_daemon.py`` covers the daemon through the transport-free
 ``handle()``; these tests bind a real listener because what they check
 lives in the handler itself: how a response is written onto a keep-alive
-connection, and what a malformed ``Content-Length`` does to it.
+connection, and what a malformed or oversized ``Content-Length`` does to
+it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 
 from repro import apply_test, load_circuit, provision_patterns, sample_defect_set
 from repro.obs.metrics import REGISTRY
-from repro.serve.app import DiagnosisDaemon, ServeConfig, bind_server
+from repro.serve.app import MAX_BODY_BYTES, DiagnosisDaemon, ServeConfig, bind_server
 
 #: Linux holds a delayed ACK for up to 40 ms; a response that waits for
 #: one costs about that much.
@@ -94,10 +95,23 @@ def _raw_exchange(host: str, port: int, request: bytes) -> bytes:
     return data
 
 
-@pytest.mark.parametrize("declared", ["abc", "-1", "1_0"])
+@pytest.mark.parametrize(
+    "declared",
+    [
+        "abc",
+        "-1",
+        "1_0",
+        # Well-formed but oversized: a 413, refused before the handler
+        # allocates the declared size.
+        str(10**15),
+        str(MAX_BODY_BYTES + 1),
+        pytest.param("9" * 5000, id="5000-digits"),  # beyond int()'s digit limit
+    ],
+)
 def test_malformed_content_length_gets_a_400_and_a_hang_up(
     live, capsys, declared
 ):
+    status, error = (413, "exceeds") if declared.isdigit() else (400, "Content-Length")
     host, port = live
     data = _raw_exchange(
         host,
@@ -107,9 +121,9 @@ def test_malformed_content_length_gets_a_400_and_a_hang_up(
     )
     head, _, body = data.partition(b"\r\n\r\n")
     lines = head.decode("latin-1").split("\r\n")
-    assert lines[0].startswith("HTTP/1.1 400 ")
+    assert lines[0].startswith(f"HTTP/1.1 {status} ")
     assert "Connection: close" in lines[1:]
-    assert "Content-Length" in json.loads(body)["error"]
+    assert error in json.loads(body)["error"]
     assert "Traceback" not in capsys.readouterr().err
 
     # The daemon keeps serving on a fresh connection.
