@@ -38,11 +38,6 @@ from repro.errors import SimulationError
 from repro.obs.trace import trace_event
 from repro.sim.compile import COUNTERS, active_kernels, base_slots, reset_kernel_cache
 from repro.sim.event import resim_output_diff
-from repro.sim.packed import (
-    active_packed,
-    resim_diff_special,
-    reset_packed_cache,
-)
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.sim.threeval import x_injection_reach
@@ -69,7 +64,6 @@ class SimContext:
         "_resim",
         "_xreach",
         "_kernels",
-        "_packed",
         "_base_slots",
         "_out_pairs",
         "_valid_sites",
@@ -88,7 +82,6 @@ class SimContext:
         # re-reading ``REPRO_SIM`` on every query would only buy dispatch
         # overhead on the hottest call path.
         self._kernels = active_kernels(netlist)
-        self._packed = active_packed(netlist)
         self._valid_sites: set[Site] = set()
         if self._kernels is not None:
             program = self._kernels.program
@@ -160,13 +153,6 @@ class SimContext:
         cone = netlist.fanout_cone(roots)
         COUNTERS.cone_passes += 1
         COUNTERS.gate_evals += len(cone)
-        if self._packed is not None:
-            input_slots.sort()
-            diff = resim_diff_special(
-                self._packed, base, st, pp, input_slots, cone, mask
-            )
-            if diff is not None:
-                return diff
         slots = base.copy()
         for slot in input_slots:
             slots[slot] = st[slot]
@@ -305,5 +291,4 @@ def reset_sim_caches() -> None:
     with _LOCK:
         _CONTEXTS.clear()
         reset_kernel_cache()
-        reset_packed_cache()
         COUNTERS.reset()

@@ -58,10 +58,10 @@ class SimCounters:
     """Global simulation effort counters.
 
     Counters are incremented at the dispatcher level -- *before* the
-    backend split -- so the interpreted, compiled and packed paths report
+    backend split -- so the interpreted and compiled paths report
     identical numbers and reports stay byte-identical across ``REPRO_SIM``
-    settings.  (``kernel_compiles`` and ``packed_words`` are the only
-    backend-specific counters and are never surfaced in reports.)
+    settings.  (``kernel_compiles`` is the only backend-specific counter
+    and is never surfaced in reports.)
     ``gate_evals`` counts nets visited: a full pass adds the gate count, a
     cone pass adds the cone size.
     """
@@ -72,7 +72,6 @@ class SimCounters:
     cone3_passes: int = 0  #: 3-valued cone passes (X injection)
     gate_evals: int = 0  #: nets visited across all passes
     kernel_compiles: int = 0  #: kernel variants codegen'd (compiled backend)
-    packed_words: int = 0  #: 64-pattern words evaluated (packed backend)
     flip_hits: int = 0  #: flip-signature memo hits (SimContext)
     flip_misses: int = 0
     resim_hits: int = 0  #: override-signature resim memo hits (SimContext)
@@ -109,8 +108,7 @@ _BACKEND_PARSE: tuple[str | None, str] | None = None
 
 
 def backend() -> str:
-    """The active simulation backend: ``"packed"``, ``"compiled"`` or
-    ``"interp"``.
+    """The active simulation backend: ``"compiled"`` or ``"interp"``.
 
     Read from the ``REPRO_SIM`` environment variable at every call so tests
     and the CI escape hatch can switch backends without re-importing; only
@@ -126,12 +124,9 @@ def backend() -> str:
         resolved = "compiled"
     elif text in ("interp", "interpreted", "python"):
         resolved = "interp"
-    elif text in ("packed", "ppsfp", "pack", "words"):
-        resolved = "packed"
     else:
         raise SimulationError(
-            f"unknown REPRO_SIM backend {raw!r} "
-            "(expected 'packed', 'compiled' or 'interp')"
+            f"unknown REPRO_SIM backend {raw!r} (expected 'compiled' or 'interp')"
         )
     _BACKEND_PARSE = (raw, resolved)
     return resolved
@@ -417,10 +412,6 @@ def active_kernels(netlist: Netlist) -> KernelSet | None:
 
     ``None`` means: use the interpreted path (escape hatch requested via
     ``REPRO_SIM=interp``, or the netlist exceeds the codegen size cap).
-    The packed backend builds on these kernels (they are its cone-pass
-    fallback below the specialization threshold), so ``REPRO_SIM=packed``
-    also resolves them -- the packed-over-compiled downgrade chain in
-    :func:`repro.sim.packed.active_packed` relies on that.
     """
     if netlist.n_gates > MAX_COMPILED_GATES:
         return None

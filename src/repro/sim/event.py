@@ -20,11 +20,6 @@ from repro.circuit.gates import eval2
 from repro.circuit.netlist import Netlist, Site
 from repro.errors import SimulationError
 from repro.sim.compile import COUNTERS, active_kernels, base_slots
-from repro.sim.packed import (
-    active_packed,
-    resim_changed_special,
-    resim_diff_special,
-)
 
 
 def _split_resim_overrides(
@@ -71,9 +66,6 @@ def resimulate_with_overrides(
     base = base_slots(program, base_values)
     slot_of = program.slot_of
     gates = netlist.gates
-    # ``st`` carries input stems too: the guarded kernels only probe gate
-    # slots, so the extra keys are inert there, while the packed
-    # specialized kernels read the input overrides from it directly.
     st: dict[int, int] = {}
     input_slots: list[int] = []
     for net, value in stem_over.items():
@@ -90,14 +82,6 @@ def resimulate_with_overrides(
         }
     else:
         pp = {}
-
-    packed = active_packed(netlist)
-    if packed is not None:
-        changed = resim_changed_special(
-            packed, base, st, pp, input_slots, cone, mask
-        )
-        if changed is not None:
-            return changed
 
     slots = base.copy()
     changed = {}
@@ -192,7 +176,6 @@ def resim_output_diff(
         st[slot] = value
         if net not in gates:
             input_slots.append(slot)
-    input_slots.sort()
     if pin_over:
         stride = program.stride
         pp = {
@@ -201,14 +184,6 @@ def resim_output_diff(
         }
     else:
         pp = {}
-
-    packed = active_packed(netlist)
-    if packed is not None:
-        diff = resim_diff_special(
-            packed, base, st, pp, input_slots, cone, mask
-        )
-        if diff is not None:
-            return diff
 
     slots = base.copy()
     for slot in input_slots:

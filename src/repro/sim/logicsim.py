@@ -22,7 +22,6 @@ from repro.sim.compile import (
     active_kernels,
     make_slot_values,
 )
-from repro.sim.packed import active_packed, packed_simulate
 from repro.sim.patterns import PatternSet
 
 
@@ -75,11 +74,6 @@ def simulate(
     kernels = active_kernels(netlist)
     if kernels is None:
         return _simulate_interp(netlist, patterns, stem_over, pin_over, mask)
-    packed = active_packed(netlist)
-    if packed is not None:
-        return packed_simulate(
-            packed, netlist, patterns, stem_over, pin_over, mask
-        )
 
     program = kernels.program
     bits = patterns.bits

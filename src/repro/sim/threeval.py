@@ -25,7 +25,6 @@ from repro.circuit.netlist import Netlist, Site
 from repro.errors import SimulationError
 from repro.sim.compile import COUNTERS, active_kernels, lifted_base
 from repro.sim.logicsim import simulate
-from repro.sim.packed import active_packed, packed_simulate3, x_reach_special
 from repro.sim.patterns import PatternSet
 
 
@@ -57,11 +56,6 @@ def simulate3(
     kernels = active_kernels(netlist)
     if kernels is None:
         return _simulate3_interp(netlist, patterns, stem_over, pin_over, mask)
-    packed = active_packed(netlist)
-    if packed is not None:
-        return packed_simulate3(
-            packed, netlist, patterns, stem_over, pin_over, mask
-        )
 
     program = kernels.program
     bits = patterns.bits
@@ -172,13 +166,6 @@ def x_injection_reach(
         return _x_reach_interp(
             netlist, base_values, cone, entry_net, pin_target, mask
         )
-    packed = active_packed(netlist)
-    if packed is not None:
-        reach = x_reach_special(
-            packed, netlist, base_values, cone, entry_net, pin_target, mask
-        )
-        if reach is not None:
-            return reach
 
     program = kernels.program
     base_on, base_zr = lifted_base(program, base_values, mask)

@@ -40,7 +40,11 @@ from repro.sim.compile import (
     emit_kernel_source,
     kernels_for,
 )
-from repro.sim.event import changed_outputs, resimulate_with_overrides
+from repro.sim.event import (
+    changed_outputs,
+    resim_output_diff,
+    resimulate_with_overrides,
+)
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.sim.threeval import simulate3, x_injection_reach
@@ -83,19 +87,9 @@ def _random_overrides(netlist, mask: int, seed: int, with_pins: bool):
     return overrides
 
 
-def _deep_ordered(obj):
-    """Recursively turn dicts into item lists, making ``==`` key-order
-    sensitive (reports are compared byte-for-byte downstream)."""
-    if isinstance(obj, dict):
-        return [(k, _deep_ordered(v)) for k, v in obj.items()]
-    if isinstance(obj, (list, tuple)):
-        return [_deep_ordered(v) for v in obj]
-    return obj
-
-
 #: Backend-specific counters, excluded from the dispatcher parity audit
 #: (never surfaced in reports).
-_BACKEND_ONLY_COUNTERS = ("kernel_compiles", "packed_words")
+_BACKEND_ONLY_COUNTERS = ("kernel_compiles",)
 
 
 def _dispatcher_counters() -> dict:
@@ -106,27 +100,28 @@ def _dispatcher_counters() -> dict:
 
 
 def _both_backends(monkeypatch, fn):
-    """Run ``fn()`` under every backend, auditing cross-backend identity.
+    """Run ``fn()`` under both backends, auditing counter identity.
 
-    Asserts the packed result equals the compiled one (nested dict key
-    order included) and that the dispatcher-level ``SimCounters`` are
-    identical across all three ``REPRO_SIM`` settings, then returns
-    ``(compiled, interp)`` for the caller's compiled-vs-oracle checks.
+    Asserts the dispatcher-level ``SimCounters`` are identical across the
+    two ``REPRO_SIM`` settings, then returns ``(compiled, interp)`` for the
+    caller's compiled-vs-oracle checks.
     """
     results = {}
     counters = {}
-    for env in ("compiled", "packed", "interp"):
+    for env in ("compiled", "interp"):
         monkeypatch.setenv("REPRO_SIM", env)
         reset_sim_caches()
         results[env] = fn()
         counters[env] = _dispatcher_counters()
-    assert _deep_ordered(results["packed"]) == _deep_ordered(results["compiled"])
-    assert counters["packed"] == counters["compiled"]
     assert counters["interp"] == counters["compiled"]
     return results["compiled"], results["interp"]
 
 
 # -- differential properties ---------------------------------------------------
+
+#: Pattern counts across machine-word edges: sub-word, exactly one word,
+#: ragged tails, an exact multiple, multi-word ragged.
+WIDTHS = (1, 63, 64, 65, 100, 130)
 
 
 class TestDifferential:
@@ -212,6 +207,50 @@ class TestDifferential:
         compiled, interp = _both_backends(monkeypatch, run)
         assert compiled == interp
 
+    @pytest.mark.parametrize("n", WIDTHS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_engines_match_interp_across_word_widths(self, monkeypatch, seed, n):
+        rng = random.Random(seed * 1000 + n)
+        netlist = random_dag(
+            rng.randint(25, 80),
+            n_inputs=rng.randint(4, 8),
+            n_outputs=rng.randint(2, 5),
+            seed=seed,
+            max_fanin=rng.choice([2, 3]),
+        )
+        pats = PatternSet.random(netlist, n, seed=seed + 1)
+        mask = pats.mask
+        gates = sorted(netlist.gates)
+        stem = Site(gates[len(gates) // 2])
+        input_stem = Site(netlist.inputs[0])
+        pin = Site(netlist.gates[gates[-1]].inputs[0], branch=(gates[-1], 0))
+        over = {site: rng.getrandbits(n) & mask for site in (stem, input_stem, pin)}
+        # An all-X input column plus raw (unmasked) TVs.
+        over3 = {
+            Site(netlist.inputs[1]): tv_all_x(mask),
+            stem: (rng.getrandbits(n + 2), rng.getrandbits(n + 2)),
+            pin: (rng.getrandbits(n), rng.getrandbits(n)),
+        }
+        reach_sites = (stem, input_stem, pin, Site(netlist.outputs[0]))
+
+        def run():
+            # Item lists make ``==`` key-order sensitive.
+            base = simulate(netlist, pats)
+            return [
+                list(base.items()),
+                list(simulate(netlist, pats, over).items()),
+                list(resimulate_with_overrides(netlist, base, over, mask).items()),
+                list(resim_output_diff(netlist, base, over, mask).items()),
+                list(simulate3(netlist, pats, over3).items()),
+                [
+                    list(x_injection_reach(netlist, pats, site, base).items())
+                    for site in reach_sites
+                ],
+            ]
+
+        compiled, interp = _both_backends(monkeypatch, run)
+        assert compiled == interp
+
     def test_structured_circuits_match(self, monkeypatch):
         for n in (ripple_carry_adder(4), alu(4)):
             pats = PatternSet.random(n, 31, seed=7)
@@ -239,13 +278,17 @@ class TestDifferential:
         n = _random_netlist(1)
         pats = PatternSet.random(n, 5, seed=1)
         bad = {Site(next(iter(n.nets()))): 1 << pats.n}
-        for env in ("compiled", "packed", "interp"):
+        for env in ("compiled", "interp"):
             monkeypatch.setenv("REPRO_SIM", env)
             with pytest.raises(SimulationError):
                 simulate(n, pats, overrides=bad)
 
 
 # -- backend selection ---------------------------------------------------------
+
+
+#: Tail of the error ``backend()`` raises for an unknown ``REPRO_SIM``.
+_EXPECTED_BACKENDS = r"expected 'compiled' or 'interp'\)$"
 
 
 class TestBackendSelection:
@@ -263,14 +306,16 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_SIM", alias)
         assert backend() == "interp"
 
-    @pytest.mark.parametrize("alias", ["packed", "PPSFP", " ppsfp "])
-    def test_packed_aliases(self, monkeypatch, alias):
-        monkeypatch.setenv("REPRO_SIM", alias)
-        assert backend() == "packed"
-
     def test_unknown_backend_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM", "verilator")
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match=_EXPECTED_BACKENDS):
+            backend()
+
+    @pytest.mark.parametrize("alias", ["packed", "PPSFP", " ppsfp "])
+    def test_packed_aliases(self, monkeypatch, alias):
+        # The packed backend is deleted; its old names fail like any other.
+        monkeypatch.setenv("REPRO_SIM", alias)
+        with pytest.raises(SimulationError, match=_EXPECTED_BACKENDS):
             backend()
 
 
@@ -448,13 +493,14 @@ def _with_one_gate_swapped(netlist):
 
 
 class TestReportIdentity:
-    def test_diagnose_identical_across_backends(self, monkeypatch):
+    @staticmethod
+    def _assert_identical(monkeypatch, n_patterns):
         from repro.core.diagnose import Diagnoser
         from repro.faults.models import StuckAtDefect
         from repro.tester.harness import apply_test
 
         n = ripple_carry_adder(5)
-        pats = PatternSet.random(n, 40, seed=13)
+        pats = PatternSet.random(n, n_patterns, seed=13)
         defects = [StuckAtDefect(Site("n10"), 0), StuckAtDefect(Site("n20"), 1)]
 
         def run():
@@ -471,3 +517,10 @@ class TestReportIdentity:
         (c_dict, c_summary), (i_dict, i_summary) = _both_backends(monkeypatch, run)
         assert c_dict == i_dict
         assert c_summary == i_summary
+
+    def test_diagnose_identical_across_backends(self, monkeypatch):
+        self._assert_identical(monkeypatch, 40)
+
+    def test_report_byte_identity_multiword(self, monkeypatch):
+        # Several machine words of patterns.
+        self._assert_identical(monkeypatch, 100)
