@@ -6,6 +6,12 @@ activation first, then D-frontier propagation) through the netlist, with
 chronological backtracking on conflicts and an X-path check for early
 pruning.  Level-based controllability/observability stand in for SCOAP.
 
+Implication is event-driven.  Both machines keep their values across
+decisions: assigning an input re-evaluates, in topological order, only the
+gates whose inputs changed, and a backtrack restores them from a trail.
+Every search starts from the engine's shared all-X good state, with the
+fault's own fanout cone evaluated into the faulty machine.
+
 The same machinery exposes :func:`justify`, which finds an input assignment
 driving one internal net to a required value -- used by launch-on-capture
 transition test generation.
@@ -14,61 +20,20 @@ transition test generation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from repro._rng import make_rng
-from repro.circuit.gates import GateKind
+from repro.circuit.gates import GateKind, eval3
 from repro.circuit.netlist import Netlist
 from repro.errors import AtpgError
 from repro.faults.models import StuckAtDefect
 
 X = 2  # scalar three-valued "unknown"
 
-
-def _eval_scalar(kind: GateKind, ins: list[int]) -> int:
-    """Three-valued scalar gate evaluation (0, 1, X=2)."""
-    if kind in (GateKind.AND, GateKind.NAND):
-        if any(v == 0 for v in ins):
-            out = 0
-        elif all(v == 1 for v in ins):
-            out = 1
-        else:
-            out = X
-        return out if kind is GateKind.AND else _inv(out)
-    if kind in (GateKind.OR, GateKind.NOR):
-        if any(v == 1 for v in ins):
-            out = 1
-        elif all(v == 0 for v in ins):
-            out = 0
-        else:
-            out = X
-        return out if kind is GateKind.OR else _inv(out)
-    if kind in (GateKind.XOR, GateKind.XNOR):
-        if any(v == X for v in ins):
-            return X
-        out = 0
-        for v in ins:
-            out ^= v
-        return out if kind is GateKind.XOR else _inv(out)
-    if kind is GateKind.BUF:
-        return ins[0]
-    if kind is GateKind.NOT:
-        return _inv(ins[0])
-    if kind is GateKind.MUX:
-        a, b, sel = ins
-        if sel == 0:
-            return a
-        if sel == 1:
-            return b
-        return a if a == b and a != X else X
-    if kind is GateKind.CONST0:
-        return 0
-    if kind is GateKind.CONST1:
-        return 1
-    raise AtpgError(f"cannot evaluate {kind} in PODEM")
-
-
-def _inv(v: int) -> int:
-    return v if v == X else v ^ 1
+#: Scalar 0/1/X as a one-pattern three-valued ``(ones, zeros)`` pair, and
+#: back again, indexed by ``ones | zeros << 1`` (index 0 never occurs).
+_TV = ((0, 1), (1, 0), (1, 1))
+_SCALAR = (X, 1, 0, X)
 
 
 @dataclass
@@ -101,6 +66,33 @@ class Podem:
         self.netlist = netlist
         self.max_backtracks = max_backtracks
         self._rng = make_rng(seed)
+        #: Gate evaluations spent by the implication engine, both machines
+        #: counted: the deterministic unit PODEM work is budgeted in.
+        self.implications = 0
+        order = netlist.topo_order
+        self._order = order
+        self._rank = {net: r for r, net in enumerate(order)}
+        self._ops = [(netlist.gates[net].kind, netlist.gates[net].inputs) for net in order]
+        self._readers = {
+            net: tuple({self._rank[gate] for gate, _pin in netlist.fanout(net)})
+            for net in netlist.nets()
+        }
+        # The fault under search: the faulty machine may differ from the
+        # good one only inside ``_cone``; ``_stem`` is forced to ``_forced``,
+        # or ``_pin`` (gate, pin) reads it.
+        self._cone: frozenset[str] = frozenset()
+        self._stem: str | None = None
+        self._pin: tuple[str, int] | None = None
+        self._forced = X
+        # (net, previous good, previous faulty) per changed net, and the
+        # trail length at each decision, for undoing it.
+        self._trail: list[tuple[str, int, int]] = []
+        self._marks: list[int] = []
+        # Evaluate every gate once with every input X: the good-machine
+        # state each search starts from.
+        self._good = self._faulty = dict.fromkeys(netlist.nets(), X)
+        self._propagate(list(range(len(order))))
+        self._all_x = self._good
 
     # -- public API -----------------------------------------------------------
 
@@ -109,35 +101,95 @@ class Podem:
         self.netlist.validate_site(fault.site)
         return self._search(fault)
 
-    # -- machinery ---------------------------------------------------------------
+    # -- implication engine ----------------------------------------------------
 
-    def _simulate(
-        self, assignment: dict[str, int], fault: StuckAtDefect | None
-    ) -> tuple[dict[str, int], dict[str, int]]:
-        """Good/faulty three-valued simulation under a partial PI assignment."""
-        netlist = self.netlist
-        good: dict[str, int] = {}
-        faulty: dict[str, int] = {}
-        site = fault.site if fault else None
-        for net in netlist.inputs:
-            v = assignment.get(net, X)
-            good[net] = v
-            faulty[net] = fault.value if (site and site.is_stem and site.net == net) else v
-        for net in netlist.topo_order:
-            gate = netlist.gates[net]
-            g_ins = [good[src] for src in gate.inputs]
-            f_ins = [
-                fault.value
-                if (site and site.branch == (net, pin))
-                else faulty[src]
-                for pin, src in enumerate(gate.inputs)
-            ]
-            good[net] = _eval_scalar(gate.kind, g_ins)
-            out_f = _eval_scalar(gate.kind, f_ins)
-            if site and site.is_stem and site.net == net:
-                out_f = fault.value
-            faulty[net] = out_f
-        return good, faulty
+    def _start(self, fault: StuckAtDefect | None) -> None:
+        """Reset both machines to "every input X", with ``fault`` injected."""
+        self._good = self._all_x.copy()
+        self._faulty = self._all_x.copy()
+        self._trail = []
+        self._marks = []
+        self._stem = self._pin = None
+        if fault is None:
+            self._cone = frozenset()
+            return
+        site = fault.site
+        self._forced = fault.value
+        if site.branch is not None:
+            self._pin = site.branch
+            entry = site.branch[0]
+        else:
+            self._stem = entry = site.net
+        self._cone = self.netlist.fanout_cone([entry])
+        if entry in self._rank:
+            seeds = [self._rank[entry]]
+        else:  # a primary input's stem
+            self._faulty[entry] = fault.value
+            seeds = list(self._readers[entry])
+        self._propagate(seeds)
+        self._trail = []
+
+    def _imply(self, pi: str, value: int) -> None:
+        """Assign primary input ``pi`` and propagate the consequences."""
+        self._marks.append(len(self._trail))
+        self._trail.append((pi, self._good[pi], self._faulty[pi]))
+        self._good[pi] = value
+        if pi != self._stem:
+            self._faulty[pi] = value
+        self._propagate(list(self._readers[pi]))
+
+    def _undo(self) -> None:
+        """Take back the latest assignment and everything it implied."""
+        mark = self._marks.pop()
+        trail, good, faulty = self._trail, self._good, self._faulty
+        while len(trail) > mark:
+            net, g, f = trail.pop()
+            good[net] = g
+            faulty[net] = f
+
+    def _propagate(self, heap: list[int]) -> None:
+        """Re-evaluate the gates ranked in ``heap`` in topological order.
+
+        A gate whose good or faulty value changes queues its readers and
+        leaves its previous values on the trail.
+        """
+        order, ops, readers = self._order, self._ops, self._readers
+        good, faulty, trail = self._good, self._faulty, self._trail
+        cone, stem, forced = self._cone, self._stem, self._forced
+        pin_gate, pin = self._pin or (None, -1)
+        queued = set(heap)
+        heapify(heap)
+        evals = 0
+        while heap:
+            rank = heappop(heap)
+            net = order[rank]
+            kind, ins = ops[rank]
+            o, z = eval3(kind, [_TV[good[src]] for src in ins], 1)
+            g = _SCALAR[o | z << 1]
+            evals += 1
+            if net == stem:
+                f = forced
+            elif net in cone:
+                tvs = [_TV[faulty[src]] for src in ins]
+                if net == pin_gate:
+                    tvs[pin] = _TV[forced]
+                o, z = eval3(kind, tvs, 1)
+                f = _SCALAR[o | z << 1]
+                evals += 1
+            else:
+                f = g
+            old_g, old_f = good[net], faulty[net]
+            if g != old_g or f != old_f:
+                trail.append((net, old_g, old_f))
+                good[net] = g
+                faulty[net] = f
+                for reader in readers[net]:
+                    if reader not in queued:
+                        queued.add(reader)
+                        heappush(heap, reader)
+        self.implications += evals
+
+    # -- search helpers ----------------------------------------------------------
 
     @staticmethod
     def _error(good: dict[str, int], faulty: dict[str, int], net: str) -> bool:
@@ -296,11 +348,12 @@ class Podem:
 
     def _search(self, fault: StuckAtDefect | None, goal: tuple[str, int] | None = None) -> PodemResult:
         """Shared search loop for detection (fault) and justification (goal)."""
+        self._start(fault)
+        good, faulty = self._good, self._faulty
         assignment: dict[str, int] = {}
         decisions: list[tuple[str, int, bool]] = []  # (pi, value, alternative_tried)
         backtracks = 0
         while True:
-            good, faulty = self._simulate(assignment, fault)
             if fault is not None:
                 done = self._detected(good, faulty)
             else:
@@ -318,18 +371,21 @@ class Podem:
                 pi, val = self._backtrace(*objective, good)
                 assignment[pi] = val
                 decisions.append((pi, val, False))
+                self._imply(pi, val)
                 continue
 
             # Conflict: chronological backtracking.
             while decisions:
                 pi, val, tried = decisions.pop()
                 del assignment[pi]
+                self._undo()
                 if not tried:
                     backtracks += 1
                     if backtracks > self.max_backtracks:
                         return PodemResult(None, "aborted", backtracks)
                     assignment[pi] = val ^ 1
                     decisions.append((pi, val ^ 1, True))
+                    self._imply(pi, val ^ 1)
                     break
             else:
                 return PodemResult(None, "untestable", backtracks)

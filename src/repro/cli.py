@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from repro import __version__
-from repro.atpg.random_gen import generate_stuck_at_tests
+from repro.atpg.random_gen import PODEM_WORK_BUDGET, generate_stuck_at_tests
 from repro.campaign.driver import Campaign, CampaignConfig, provision_patterns
 from repro.campaign.samplers import DEFAULT_MIX, sample_defect_set
 from repro.campaign.tables import format_table
@@ -89,7 +89,9 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     print(
         f"{netlist.name}: {report.patterns.n} patterns, "
         f"coverage {report.coverage:.1%} of {report.n_faults} collapsed faults "
-        f"({report.n_untestable} untestable, {report.n_aborted} aborted)"
+        f"({report.n_untestable} untestable, {report.n_aborted} aborted, "
+        f"{report.n_skipped} skipped); PODEM work {report.podem_work:,} "
+        f"of {PODEM_WORK_BUDGET:,} implications"
     )
     return 0
 

@@ -51,6 +51,7 @@ class TestAtpg:
         code, out, _err = run(capsys, "atpg", "c17", "--seed", "3")
         assert code == 0
         assert "coverage" in out
+        assert "0 skipped); PODEM work 0 of 3,000,000 implications" in out
 
 
 class TestInjectAndDiagnose:

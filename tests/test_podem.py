@@ -1,18 +1,23 @@
 """PODEM test generation: every produced pattern must actually detect its
-target (verified by independent fault simulation), and untestable faults in
-redundant logic must be proven so."""
+target (verified by independent fault simulation), untestable faults in
+redundant logic must be proven so, and the incremental implication must
+match a from-scratch three-valued simulation after every step."""
+
+import random
 
 import pytest
 
-from repro.atpg.podem import Podem, justify
+from repro.atpg.podem import X, Podem, justify
 from repro.circuit.builder import NetlistBuilder
+from repro.circuit.gates import TV_X, GateKind, tv_const
 from repro.circuit.generators import c17, mux_tree, random_dag, ripple_carry_adder
-from repro.circuit.netlist import Site
+from repro.circuit.netlist import Netlist, Site
 from repro.errors import AtpgError
 from repro.faults.collapse import collapse_stuck_at
 from repro.faults.models import StuckAtDefect
 from repro.sim.faultsim import detect_vector
 from repro.sim.patterns import PatternSet
+from repro.sim.threeval import simulate3
 
 
 def _assert_detects(netlist, pattern, fault):
@@ -89,3 +94,92 @@ class TestJustify:
             justify(rca4, "sum0", 2)
         with pytest.raises(AtpgError):
             justify(rca4, "ghost", 1)
+
+
+# -- incremental implication against a from-scratch simulation -----------------
+
+_MIXED_KINDS = (
+    GateKind.AND, GateKind.NAND, GateKind.OR, GateKind.NOR,
+    GateKind.XOR, GateKind.XNOR, GateKind.NOT, GateKind.BUF, GateKind.MUX,
+)
+
+
+def _mixed_dag(seed: int, n_gates: int = 36, n_inputs: int = 6) -> Netlist:
+    """Random DAG over every gate kind PODEM handles, MUX included."""
+    rng = random.Random(seed)
+    b = NetlistBuilder(f"mixed{seed}")
+    pool = b.input_bus("i", n_inputs)
+    if seed % 2:
+        pool.append(b.const1())
+    for _ in range(n_gates):
+        kind = rng.choice(_MIXED_KINDS)
+        arity = kind.max_inputs or rng.randint(2, 3)
+        pool.append(b.gate(kind, [rng.choice(pool[-10:]) for _ in range(arity)]))
+    for net in pool[-3:]:
+        b.output(net)
+    return b.build()
+
+
+def _scalar(tv) -> int:
+    return {(0, 1): 0, (1, 0): 1, (1, 1): X}[tv]
+
+
+class _CheckedPodem(Podem):
+    """Compares both machines with :func:`simulate3` after every step.
+
+    The reference sees the assigned inputs as a one-pattern set, every
+    other input as X through a stem override, and the fault as an override.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.checks = 0
+        super().__init__(*args, **kwargs)
+
+    def _start(self, fault):
+        super()._start(fault)
+        self.fault = fault
+        self.assigned: list[tuple[str, int]] = []
+        self._check()
+
+    def _imply(self, pi, value):
+        super()._imply(pi, value)
+        self.assigned.append((pi, value))
+        self._check()
+
+    def _undo(self):
+        super()._undo()
+        self.assigned.pop()
+        self._check()
+
+    def _check(self) -> None:
+        netlist = self.netlist
+        assigned = dict(self.assigned)
+        patterns = PatternSet.from_vectors(
+            netlist.inputs, [{pi: assigned.get(pi, 0) for pi in netlist.inputs}]
+        )
+        overrides = {Site(pi): TV_X for pi in netlist.inputs if pi not in assigned}
+        good = simulate3(netlist, patterns, overrides)
+        faulty = good
+        if self.fault is not None:
+            overrides[self.fault.site] = tv_const(self.fault.value, 1)
+            faulty = simulate3(netlist, patterns, overrides)
+        assert self._good == {net: _scalar(good[net]) for net in netlist.nets()}
+        assert self._faulty == {net: _scalar(faulty[net]) for net in netlist.nets()}
+        self.checks += 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_incremental_implication_matches_full_simulation(seed):
+    netlist = _mixed_dag(seed)
+    engine = _CheckedPodem(netlist, max_backtracks=8, seed=seed)
+    backtracks = 0
+    sites = netlist.sites()
+    assert any(site.branch for site in sites)
+    for site in sites:
+        for value in (0, 1):
+            backtracks += engine.generate(StuckAtDefect(site, value)).backtracks
+    for net in netlist.nets():
+        for value in (0, 1):
+            engine._search(None, goal=(net, value))
+    assert backtracks > 0
+    assert engine.checks > 2 * len(sites)
