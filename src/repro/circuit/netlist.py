@@ -52,6 +52,11 @@ class Site:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def __reduce__(self):
+        # Rebuild from the fields: a pickled ``_hash`` would be stale in a
+        # process with another string-hash seed.
+        return (Site, (self.net, self.branch))
+
     def _sort_key(self) -> tuple:
         return (self.net, self.branch is not None, self.branch or ("", -1))
 
@@ -128,9 +133,16 @@ class Netlist:
         self._order = self._levelize()
         self._fanouts = self._build_fanouts()
         self._level = {net: lvl for lvl, net in self._iter_levels()}
+        by_level: dict[int, list[str]] = {}
+        for net in self.nets():
+            by_level.setdefault(self._level[net], []).append(net)
+        self._by_level = {lvl: tuple(nets) for lvl, nets in by_level.items()}
         self._cone_cache: dict[str, frozenset[str]] = {}
         self._fanin_cache: dict[frozenset[str], frozenset[str]] = {}
         self._fanout_cache: dict[frozenset[str], frozenset[str]] = {}
+        self._site_table: (
+            tuple[dict[str, Site], dict[str, tuple[Site, ...]]] | None
+        ) = None
         self._fingerprint: str | None = None
 
     # -- construction-time checks ------------------------------------------
@@ -269,6 +281,11 @@ class Netlist:
     def level(self, net: str) -> int:
         return self._level[net]
 
+    def nets_at_level(self, level: int) -> tuple[str, ...]:
+        """Nets at ``level`` (primary inputs are level 0), in :meth:`nets`
+        order."""
+        return self._by_level.get(level, ())
+
     def is_input(self, net: str) -> bool:
         return net in self._input_set
 
@@ -392,20 +409,46 @@ class Netlist:
 
     # -- defect sites ------------------------------------------------------------
 
+    def _sites_by_net(self) -> tuple[dict[str, Site], dict[str, tuple[Site, ...]]]:
+        """The netlist's own Site objects: a stem per net, and a branch per
+        fanout pin of every multi-fanout net, both keyed by net in
+        :meth:`nets` order.  Built once, so every stage that takes its
+        sites from here shares one object per site and its Site-keyed
+        dicts hit on identity."""
+        table = self._site_table
+        if table is None:
+            stems = {net: Site(net) for net in self.nets()}
+            branches = {
+                net: tuple(Site(net, dest) for dest in fan)
+                for net, fan in self._fanouts.items()
+                if len(fan) > 1
+            }
+            table = self._site_table = (stems, branches)
+        return table
+
     def sites(self, include_branches: bool = True) -> list[Site]:
         """Enumerate candidate defect sites.
 
         Every net contributes a stem site.  When ``include_branches`` is
         true, every fanout branch of a multi-fanout net contributes a branch
         site as well (a single-fanout branch is electrically the stem).
+        The Site objects are the netlist's own (see :meth:`stem_site`).
         """
-        out: list[Site] = [Site(net) for net in self.nets()]
+        stems, branches = self._sites_by_net()
+        out = list(stems.values())
         if include_branches:
-            for net in self.nets():
-                fan = self._fanouts[net]
-                if len(fan) > 1:
-                    out.extend(Site(net, (gate, pin)) for gate, pin in fan)
+            for group in branches.values():
+                out.extend(group)
         return out
+
+    def stem_site(self, net: str) -> Site:
+        """The netlist's own stem Site of ``net``."""
+        return self._sites_by_net()[0][net]
+
+    def branch_sites(self, net: str) -> tuple[Site, ...]:
+        """The netlist's own branch Sites of ``net``, in :meth:`fanout`
+        order; empty for a net with fewer than two fanout pins."""
+        return self._sites_by_net()[1].get(net, ())
 
     def validate_site(self, site: Site) -> None:
         if site.net not in self._input_set and site.net not in self.gates:

@@ -40,7 +40,9 @@ def candidate_sites(
     The union, over failing patterns, of the fan-in cones of that
     pattern's failing outputs; branch sites are included when the reading
     gate lies inside the envelope.  Deterministically ordered by
-    topological position.
+    topological position, and made of the netlist's own Site objects
+    (:meth:`~repro.circuit.netlist.Netlist.stem_site`), so the per-site
+    memos of every later stage hit on identity.
 
     Under a ``budget`` the cone union is checked per failing record (after
     the first, so the envelope is never empty for a failing device); on
@@ -57,14 +59,12 @@ def candidate_sites(
             break
         nets |= netlist.fanin_cone(record.failing_outputs)
     ordered = [net for net in netlist.nets() if net in nets]
-    sites = [Site(net) for net in ordered]
+    sites = [netlist.stem_site(net) for net in ordered]
     if include_branches:
         for net in ordered:
-            fan = netlist.fanout(net)
-            if len(fan) > 1:
-                sites.extend(
-                    Site(net, (gate, pin)) for gate, pin in fan if gate in nets
-                )
+            sites.extend(
+                site for site in netlist.branch_sites(net) if site.branch[0] in nets
+            )
     return sites
 
 

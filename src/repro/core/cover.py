@@ -391,20 +391,25 @@ def enumerate_pertest_min_covers(
         return []
     # Pool priority: greedy solution, then singleton explainers by frequency,
     # then the remaining seeds (pair-rescue participants), then best partials.
+    # ``pooled`` mirrors ``pool`` for membership tests; the list keeps the
+    # order, and any duplicate among the leading seeds.
     pool: list[Site] = list(seed_sites[: max(1, max_candidates // 3)])
+    pooled = set(pool)
     singleton_sites: dict[Site, int] = {}
     for sites in analysis.exact_singletons.values():
         for site in sites:
             singleton_sites[site] = singleton_sites.get(site, 0) + 1
     for site in sorted(singleton_sites, key=lambda s: (-singleton_sites[s], str(s))):
-        if site not in pool:
+        if site not in pooled:
             pool.append(site)
+            pooled.add(site)
     for site in seed_sites:
-        if site not in pool:
+        if site not in pooled:
             pool.append(site)
+            pooled.add(site)
     if len(pool) < max_candidates:
         by_partial = sorted(
-            (s for s in analysis.sites if s not in pool),
+            (s for s in analysis.sites if s not in pooled),
             key=lambda s: (-len(analysis.atoms_of(s)), str(s)),
         )
         pool.extend(by_partial[: max_candidates - len(pool)])

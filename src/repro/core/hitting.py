@@ -115,7 +115,8 @@ def conflict_pool(
         (s for s in analysis.sites if any(s.net in cone for cone in cones)),
         key=lambda s: (-weight(s), str(s)),
     )
-    pool = [s for s in dict.fromkeys(seed_sites) if s in set(analysis.sites)]
+    swept = set(analysis.sites)
+    pool = [s for s in dict.fromkeys(seed_sites) if s in swept]
     seen = set(pool)
     pool.extend(s for s in ranked if s not in seen)
     return pool

@@ -20,14 +20,20 @@ Everything here is bit-parallel on the test set's pattern-index axis (bit
 ``i`` is pattern ``i``).  What a flip or a flip/pin assignment does at
 the outputs depends only on the circuit and the test set, never on the
 die, so every single-site flip and joint resimulation is answered by the
-shared :func:`~repro.sim.cache.sim_context` of ``(netlist, patterns)``:
-a die whose circuit and test set an earlier die already used reads the
-earlier die's flips from the memo instead of simulating them.  Each
-returned diff is masked to the die's failing patterns -- passing patterns
-carry no per-test information (every multiplet trivially "explains" them
-with the all-pins assignment), and patterns simulate independently, so
-the masked diff is exactly what simulating the failing patterns alone
-would give.
+shared :func:`~repro.sim.cache.sim_context` of ``(netlist, patterns)``.
+Its flip index holds every flip signature it has seen transposed
+pattern-major, one bitset of sites per ``(pattern, output)`` strobe, so a
+die's single-flip questions cost big-int operations over the strobes of
+its failing patterns, not a pass over its candidates: the exact
+singletons of failing pattern ``t`` are the candidates in every failing
+output's bitset and in no other non-X output's, and the reproducers of a
+fail atom are its strobe's bitset.  A candidate the index has not seen
+yet is flipped once, for every later die on the same circuit and test
+set.  Joint diffs are masked to the die's failing patterns -- passing
+patterns carry no per-test information (every multiplet trivially
+"explains" them with the all-pins assignment), and patterns simulate
+independently, so the masked diff is exactly what simulating the failing
+patterns alone would give.
 
 Relationship to the X-cover stage: X injection is the sound
 over-approximation (necessary condition) used to prune the candidate
@@ -46,7 +52,8 @@ from typing import Iterable, Mapping, Sequence
 from repro.circuit.netlist import Netlist, Site
 from repro.core.budget import Budget
 from repro.core.xcover import Atom
-from repro.sim.cache import SimContext, sim_context
+from repro.obs.trace import trace_span
+from repro.sim.cache import Reproducers, SimContext, sim_context
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
@@ -87,7 +94,7 @@ def _match_vector(
 
 @dataclass
 class PerTestAnalysis:
-    """Single-flip effects of every candidate site plus joint-flip services.
+    """Single-flip answers for every candidate site plus joint-flip services.
 
     Every diff vector is on the test set's pattern-index axis, masked to
     the datalog's failing patterns.
@@ -98,14 +105,14 @@ class PerTestAnalysis:
     datalog: Datalog
     sites: tuple[Site, ...]
     atoms: frozenset[Atom]
-    site_atoms: dict[Site, frozenset[Atom]]
-    #: failing pattern -> sites whose lone flip reproduces it
+    #: failing pattern -> sites whose lone flip reproduces it, in ``sites``
+    #: order
     exact_singletons: dict[int, tuple[Site, ...]]
-    #: per-site per-output flip diffs, masked to the failing patterns
-    flip_diff: dict[Site, dict[str, int]]
     #: the shared context of ``(netlist, patterns)``: every flip and joint
     #: resimulation is read from its memo, across dies as well as stages
     _ctx: SimContext
+    #: per swept site, the fail atoms its lone flip reproduces
+    _reproducers: Reproducers
     #: bit ``i`` set iff pattern ``i`` failed
     _fail_mask: int
     #: observed failing (resp. X-tier) strobes of the failing patterns as
@@ -120,14 +127,13 @@ class PerTestAnalysis:
     # -- single-site queries ---------------------------------------------------
 
     def atoms_of(self, site: Site) -> frozenset[Atom]:
-        """Observed fail atoms that flipping ``site`` reproduces."""
-        return self.site_atoms.get(site, frozenset())
+        """Observed fail atoms that flipping ``site`` reproduces (none for a
+        site outside :attr:`sites`)."""
+        return self._reproducers.of(site)
 
     def diff_at(self, site: Site, pattern_index: int) -> frozenset[str]:
         """Outputs flipped by inverting ``site`` under one failing pattern."""
-        diff = self.flip_diff.get(site)
-        if diff is None:
-            diff = self.assignment_diff((site,))
+        diff = self.assignment_diff((site,))
         return frozenset(
             out for out, vec in diff.items() if (vec >> pattern_index) & 1
         )
@@ -232,91 +238,61 @@ def build_pertest(
     base_values: Mapping[str, int] | None = None,
     budget: Budget | None = None,
 ) -> PerTestAnalysis:
-    """Compute single-flip effects and exact singleton matches for ``sites``.
+    """Exact singleton matches and per-site fail atoms for ``sites``.
+
+    The candidates are swept into the shared context's flip index (a
+    ``pertest.index`` trace span, whose ``new_sites`` counts the sites the
+    index had not seen), and the die's questions are then answered from
+    it: per failing pattern, the candidates whose lone flip toggles exactly
+    its failing outputs among its non-X strobes, in ``sites`` order; per
+    fail atom, the candidates whose flip toggles it.
 
     ``base_values`` (full-test-set fault-free values) is accepted for API
     symmetry; the flips are read from the shared context's own base.
 
-    Under a ``budget`` the single-flip sweep is checked per site (each
-    costs at most one cone-restricted resimulation, charged as one
-    expansion); on exhaustion the analysis covers only the sites swept so
-    far and a ``pertest`` truncation is recorded.
+    Under a ``budget`` the sweep is checked before each site and charges
+    one expansion per site (each costs at most one cone-restricted
+    resimulation), whether or not the index already holds it, so anytime
+    truncation points stay deterministic across cache states.  On
+    exhaustion the analysis covers only the sites swept so far and a
+    ``pertest`` truncation is recorded.
     """
     del base_values
     ctx = sim_context(netlist, patterns)
-    failing = datalog.failing_indices
-    fail_mask = sum(1 << idx for idx in failing)
-    atoms = frozenset(datalog.fail_atoms())
-    obs_vec = datalog.observed_diff(netlist.outputs)
-    x_vec = datalog.fail_x_vectors()
-
-    flip_diff: dict[Site, dict[str, int]] = {}
-    site_atoms: dict[Site, frozenset[Atom]] = {}
-    exact: dict[int, list[Site]] = {idx: [] for idx in failing}
-    #: flip-response signature -> (first site seen, patterns it matched)
-    sig_seen: dict[tuple, tuple[Site, tuple[int, ...]]] = {}
     sites = list(sites)
-    for done, site in enumerate(sites):
-        if (
-            budget is not None
-            and done
-            and budget.stop("pertest", done, len(sites))
-        ):
-            sites = sites[:done]
-            break
-        if budget is not None:
-            # Charged per site regardless of memo warmth, so anytime
-            # truncation points stay deterministic across cache states.
-            budget.charge()
-        diff = _masked(ctx.flip_signature(site), fail_mask)
-        flip_diff[site] = diff
-        # Response-signature dedup: a site whose flip leaves the same
-        # output signature as an earlier one is behaviorally equivalent on
-        # this evidence -- reuse the derived atoms and exact matches
-        # instead of re-walking the failing patterns.
-        signature = tuple(sorted(diff.items()))
-        twin = sig_seen.get(signature)
-        if twin is not None:
-            twin_site, matched = twin
-            site_atoms[site] = site_atoms[twin_site]
-            for idx in matched:
-                exact[idx].append(site)
-            continue
-        covered: set[Atom] = set()
-        matched_here: list[int] = []
-        hits = _match_vector(diff, obs_vec, x_vec, fail_mask)
-        while hits:
-            low = hits & -hits
-            idx = low.bit_length() - 1
-            exact[idx].append(site)
-            matched_here.append(idx)
-            hits ^= low
-        for out, vec in diff.items():
-            reproduced = vec & obs_vec.get(out, 0) & ~x_vec.get(out, 0)
-            while reproduced:
-                low = reproduced & -reproduced
-                covered.add((low.bit_length() - 1, out))
-                reproduced ^= low
-        site_atoms[site] = frozenset(covered)
-        sig_seen[signature] = (site, tuple(matched_here))
+    stop = None
+    if budget is not None:
 
-    analysis = PerTestAnalysis(
+        def stop(done: int) -> bool:
+            if done and budget.stop("pertest", done, len(sites)):
+                return True
+            budget.charge()
+            return False
+
+    with trace_span("pertest.index") as span:
+        index = ctx.flip_index(sites, stop)
+        if span is not None:
+            span.meta = {"new_sites": index.added}
+    failing = datalog.failing_indices
+    atoms = frozenset(datalog.fail_atoms())
+    return PerTestAnalysis(
         netlist=netlist,
         patterns=patterns,
         datalog=datalog,
-        sites=tuple(sites),
+        sites=index.sites,
         atoms=atoms,
-        site_atoms=site_atoms,
-        exact_singletons={idx: tuple(v) for idx, v in exact.items()},
-        flip_diff=flip_diff,
+        exact_singletons={
+            idx: index.explainers(
+                idx, datalog.failing_outputs_of(idx), datalog.x_outputs_of(idx)
+            )
+            for idx in failing
+        },
         _ctx=ctx,
-        _fail_mask=fail_mask,
-        _obs_vec=obs_vec,
-        _x_vec=x_vec,
+        _reproducers=index.reproducers(atoms),
+        _fail_mask=sum(1 << idx for idx in failing),
+        _obs_vec=datalog.observed_diff(netlist.outputs),
+        _x_vec=datalog.fail_x_vectors(),
     )
-    for site in sites:
-        analysis._joint_cache[(frozenset((site,)), frozenset())] = flip_diff[site]
-    return analysis
 
 
 def pair_search(

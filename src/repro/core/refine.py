@@ -163,14 +163,14 @@ def _aggressor_pool(
         relevance_mask |= 1 << idx
     victim_cone = netlist.fanout_cone([victim])
     scored: list[tuple[int, str]] = []
-    for net in netlist.nets():
-        if net == victim or net in victim_cone:
-            continue
-        if abs(netlist.level(net) - victim_level) > config.bridge_level_distance:
-            continue
-        disagreement = (base_values[net] ^ base_values[victim]) & relevance_mask
-        count = bin(disagreement).count("1")
-        if count:
-            scored.append((count, net))
+    distance = config.bridge_level_distance
+    for level in range(victim_level - distance, victim_level + distance + 1):
+        for net in netlist.nets_at_level(level):
+            if net == victim or net in victim_cone:
+                continue
+            disagreement = (base_values[net] ^ base_values[victim]) & relevance_mask
+            count = bin(disagreement).count("1")
+            if count:
+                scored.append((count, net))
     scored.sort(key=lambda kv: (-kv[0], kv[1]))
     return [net for _count, net in scored[: config.max_aggressors]]

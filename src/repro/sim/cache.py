@@ -15,7 +15,12 @@ once and memoizes:
   the *behavioral* signature ``frozenset((site, value), ...)``, so any two
   stages (or two fault models) requesting the same injected behavior share
   one simulation,
-- X reach: site -> per-output X-corruption vectors.
+- X reach: site -> per-output X-corruption vectors,
+- the flip index: the flip signatures transposed pattern-major, one
+  bitset over site ids per ``(pattern, output)`` strobe, so a die's
+  per-test question -- which candidates' lone flip reproduces exactly
+  this pattern's failing outputs -- is a few big-int ANDs over the
+  strobes of its failing patterns (:meth:`SimContext.flip_index`).
 
 Contexts are registered in a bounded LRU keyed by *content* fingerprints
 (netlist hash, pattern-set hash), so campaign trials that share a circuit
@@ -30,8 +35,8 @@ truncation behavior stays deterministic regardless of cache warmth.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Mapping
+from collections import OrderedDict, defaultdict
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.circuit.netlist import Netlist, Site
 from repro.errors import SimulationError
@@ -67,6 +72,8 @@ class SimContext:
         "_base_slots",
         "_out_pairs",
         "_valid_sites",
+        "_index",
+        "_index_lock",
     )
 
     def __init__(self, netlist: Netlist, patterns: PatternSet):
@@ -83,6 +90,8 @@ class SimContext:
         # overhead on the hottest call path.
         self._kernels = active_kernels(netlist)
         self._valid_sites: set[Site] = set()
+        self._index: _FlipIndex | None = None
+        self._index_lock = threading.Lock()
         if self._kernels is not None:
             program = self._kernels.program
             self._base_slots = base_slots(program, self.base)
@@ -188,6 +197,44 @@ class SimContext:
         self._flip[site] = diff
         return diff
 
+    def flip_index(
+        self,
+        sites: Sequence[Site],
+        stop: Callable[[int], bool] | None = None,
+    ) -> "FlipView":
+        """Index the flips of ``sites`` in order; a view answering over them.
+
+        A site not yet in the context's flip index costs one
+        :meth:`flip_signature` (a memo hit when an earlier stage or die
+        already flipped it), transposed into the index once; a site
+        already there costs one id lookup.  ``stop(done)`` is asked before
+        each site, and when it answers true the view covers only the
+        first ``done`` sites.  Any site :meth:`Netlist.validate_site
+        <repro.circuit.netlist.Netlist.validate_site>` accepts works.
+        """
+        index = self._index
+        if index is None:
+            with self._index_lock:
+                if self._index is None:
+                    self._index = _FlipIndex(self.netlist)
+                index = self._index
+        ids = index.ids
+        indexed = index.indexed
+        swept: list[int] = []
+        added = 0
+        for done, site in enumerate(sites):
+            if stop is not None and stop(done):
+                sites = sites[:done]
+                break
+            sid = ids.get(site)
+            if sid is None:
+                self.netlist.validate_site(site)
+                sid = index.new_id(site)
+            if not indexed[sid]:
+                added += index.add(sid, self.flip_signature(site))
+            swept.append(sid)
+        return FlipView(index, tuple(sites), swept, added)
+
     def x_reach(self, site: Site) -> dict[str, int]:
         """Memoized :func:`~repro.sim.threeval.x_injection_reach` at
         ``site``.  The returned dict is shared -- callers must not mutate
@@ -202,6 +249,194 @@ class SimContext:
             self._xreach.clear()
         self._xreach[site] = reach
         return reach
+
+
+# ---------------------------------------------------------------------------
+# Flip index
+# ---------------------------------------------------------------------------
+
+
+class _FlipIndex:
+    """A context's flip signatures, transposed pattern-major.
+
+    Site ids follow :meth:`Netlist.sites
+    <repro.circuit.netlist.Netlist.sites>`; any other valid site (a branch
+    of a single-fanout net) gets the next id on first use.  Strobe
+    ``(pattern, output)`` owns one bitset over site ids: bit ``i`` is set
+    iff complementing site ``i`` flips that output under that pattern.  A
+    site's ids are appended to its strobes' pending lists when it is
+    added, and a strobe folds its pending ids into its bitset when first
+    read after that, so adding a site costs one list append per set bit of
+    its signature.  Writes and folds hold :attr:`lock`: the service's
+    worker threads share one context, and an unguarded fold can drop ids
+    another thread appends.  A site's ids are all appended before it is
+    marked indexed.
+    """
+
+    __slots__ = ("lock", "ids", "indexed", "outputs", "column", "pending", "folded")
+
+    def __init__(self, netlist: Netlist):
+        self.lock = threading.Lock()
+        sites = netlist.sites()
+        self.ids: dict[Site, int] = {site: sid for sid, site in enumerate(sites)}
+        #: ``indexed[sid]`` is 1 once site ``sid``'s flips are in the index
+        self.indexed = bytearray(len(sites))
+        self.outputs: tuple[str, ...] = tuple(dict.fromkeys(netlist.outputs))
+        self.column = {out: col for col, out in enumerate(self.outputs)}
+        #: strobe key ``pattern * len(outputs) + column`` -> ids not yet folded
+        self.pending: defaultdict[int, list[int]] = defaultdict(list)
+        self.folded: dict[int, int] = {}
+
+    def new_id(self, site: Site) -> int:
+        """The id of a valid site outside :meth:`Netlist.sites`."""
+        with self.lock:
+            sid = self.ids.get(site)
+            if sid is None:
+                sid = self.ids[site] = len(self.indexed)
+                self.indexed.append(0)
+        return sid
+
+    def add(self, sid: int, signature: Mapping[str, int]) -> int:
+        """Transpose one site's flip signature in; 1 if it was new."""
+        width = len(self.outputs)
+        column = self.column
+        with self.lock:
+            if self.indexed[sid]:
+                return 0
+            pending = self.pending
+            for out, vec in signature.items():
+                col = column[out]
+                while vec:
+                    low = vec & -vec
+                    pending[(low.bit_length() - 1) * width + col].append(sid)
+                    vec ^= low
+            self.indexed[sid] = 1
+        return 1
+
+    def row(self, pattern: int) -> list[int]:
+        """Per output (in :attr:`outputs` order), the bitset of the sites
+        whose flip toggles it under ``pattern``."""
+        width = len(self.outputs)
+        base = pattern * width
+        folded = self.folded
+        pending = self.pending
+        row = []
+        with self.lock:
+            for key in range(base, base + width):
+                bits = folded.get(key, 0)
+                ids = pending.pop(key, None)
+                if ids:
+                    for sid in ids:
+                        bits |= 1 << sid
+                    folded[key] = bits
+                row.append(bits)
+        return row
+
+
+class FlipView:
+    """One candidate list's window onto a context's flip index.
+
+    Answers in site terms: ids and bitsets stay inside this module.  Built
+    by :meth:`SimContext.flip_index`; ``sites`` is the swept candidate
+    list and ``added`` how many of them the index took in new.
+    """
+
+    __slots__ = ("sites", "added", "_index", "_mask", "_rank")
+
+    def __init__(
+        self, index: _FlipIndex, sites: tuple[Site, ...], ids: list[int], added: int
+    ):
+        self.sites = sites
+        self.added = added
+        self._index = index
+        mask = 0
+        for sid in ids:
+            mask |= 1 << sid
+        self._mask = mask
+        #: site id -> its first position in ``sites``
+        self._rank = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+
+    def explainers(
+        self, pattern: int, failing: Iterable[str], unknown: Iterable[str] = ()
+    ) -> tuple[Site, ...]:
+        """The sites whose lone flip under ``pattern`` toggles exactly the
+        ``failing`` outputs (a non-empty set of the netlist's outputs),
+        whatever it does at the ``unknown`` ones, in ``sites`` order."""
+        failing = frozenset(failing)
+        unknown = frozenset(unknown)
+        index = self._index
+        exact = self._mask
+        others = 0
+        for out, bits in zip(index.outputs, index.row(pattern)):
+            if out in failing:
+                exact &= bits
+            elif out not in unknown:
+                others |= bits
+        return self._in_order(exact & ~others)
+
+    def reproducers(self, strobes: Iterable[tuple[int, str]]) -> "Reproducers":
+        """Which of ``strobes`` (``(pattern, output)`` pairs) each swept
+        site's lone flip toggles."""
+        index = self._index
+        rows: dict[int, list[int]] = {}
+        bits: dict[tuple[int, str], int] = {}
+        for pattern, out in strobes:
+            row = rows.get(pattern)
+            if row is None:
+                row = rows[pattern] = index.row(pattern)
+            col = index.column.get(out)
+            if col is not None and row[col] & self._mask:
+                bits[(pattern, out)] = row[col] & self._mask
+        return Reproducers(index.ids, bits)
+
+    def _in_order(self, bits: int) -> tuple[Site, ...]:
+        rank = self._rank
+        positions = []
+        while bits:
+            low = bits & -bits
+            positions.append(rank[low.bit_length() - 1])
+            bits ^= low
+        positions.sort()
+        sites = self.sites
+        return tuple(sites[pos] for pos in positions)
+
+
+class Reproducers:
+    """Per site, the strobes of a fixed set that its lone flip toggles.
+
+    Decoded lazily, one site at a time and memoized: a die asks about a
+    few hundred of its candidates, and most of those toggle none of its
+    strobes.  The strobes' bitsets are kept as bytes, so testing one site
+    is a byte lookup rather than a shift of a bitset as wide as the index.
+    """
+
+    __slots__ = ("_ids", "_any", "_strobes", "_memo")
+
+    def __init__(self, ids: Mapping[Site, int], bits: dict[tuple[int, str], int]):
+        self._ids = ids
+        hit_any = 0
+        for vec in bits.values():
+            hit_any |= vec
+        width = (hit_any.bit_length() + 7) // 8
+        self._any = hit_any.to_bytes(width, "little")
+        self._strobes = [
+            (strobe, vec.to_bytes(width, "little")) for strobe, vec in bits.items()
+        ]
+        self._memo: dict[Site, frozenset[tuple[int, str]]] = {}
+
+    def of(self, site: Site) -> frozenset[tuple[int, str]]:
+        found = self._memo.get(site)
+        if found is None:
+            sid = self._ids.get(site, -1)
+            at, bit = sid >> 3, 1 << (sid & 7)
+            if 0 <= at < len(self._any) and self._any[at] & bit:
+                found = frozenset(
+                    strobe for strobe, data in self._strobes if data[at] & bit
+                )
+            else:
+                found = frozenset()
+            self._memo[site] = found
+        return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the Netlist graph structure."""
 
+import pickle
+
 import pytest
 
 from repro.circuit.builder import NetlistBuilder
@@ -114,6 +116,15 @@ class TestTopology:
         assert tiny_and.level("ab") == 1
         assert tiny_and.level("z") == 2
         assert tiny_and.depth == 2
+        by_level = [
+            net for lvl in range(tiny_and.depth + 1) for net in tiny_and.nets_at_level(lvl)
+        ]
+        assert sorted(by_level) == sorted(tiny_and.nets())
+        assert all(
+            tiny_and.level(net) == lvl
+            for lvl in range(tiny_and.depth + 1)
+            for net in tiny_and.nets_at_level(lvl)
+        )
 
     def test_driver_and_is_input(self, tiny_and):
         assert tiny_and.driver("a") is None
@@ -181,6 +192,25 @@ class TestSites:
         with pytest.raises(NetlistError):
             fanout_circuit.validate_site(Site("stem", ("left", 1)))
         fanout_circuit.validate_site(Site("stem", ("left", 0)))
+
+    def test_sites_are_the_netlists_own(self, fanout_circuit):
+        sites = fanout_circuit.sites()
+        assert all(a is b for a, b in zip(sites, fanout_circuit.sites()))
+        by_value = {site: site for site in sites}
+        for net in fanout_circuit.nets():
+            assert fanout_circuit.stem_site(net) is by_value[Site(net)]
+            branches = fanout_circuit.branch_sites(net)
+            assert all(by_value[Site(net, b.branch)] is b for b in branches)
+            if fanout_circuit.fanout_count(net) > 1:
+                assert [b.branch for b in branches] == list(fanout_circuit.fanout(net))
+            else:
+                assert branches == ()
+
+    def test_pickled_site_rehashes(self):
+        site = Site("n42", ("g7", 1))
+        hash(site)
+        copy = pickle.loads(pickle.dumps(site))
+        assert copy == site and "_hash" not in copy.__dict__
 
     def test_site_str_roundtrip(self):
         for text in ("n42", "n42->g7.1"):

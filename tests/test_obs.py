@@ -332,6 +332,31 @@ class TestTracedDeterminism:
             # Cold caches -> at least one kernel compile event.
             assert "sim.kernel_compile" in totals
 
+    def test_flip_index_span_counts_new_sites(self, diag_inputs):
+        n, pats, result = diag_inputs
+        reset_sim_caches()
+        diagnoser = Diagnoser(n)
+
+        def index_spans(report):
+            found = []
+
+            def walk(span):
+                if span["name"] == "pertest.index":
+                    found.append(span.get("meta"))
+                for child in span.get("children", ()):
+                    walk(child)
+
+            for root in report.stats["trace"]:
+                walk(root)
+            return found
+
+        cold = diagnoser.diagnose(pats, result.datalog, tracer=Tracer())
+        assert index_spans(cold) == [
+            {"new_sites": int(cold.stats["n_candidate_space"])}
+        ]
+        warm = diagnoser.diagnose(pats, result.datalog, tracer=Tracer())
+        assert index_spans(warm) == [{"new_sites": 0}]
+
     def test_xcover_engine_stage_span(self, diag_inputs):
         n, pats, result = diag_inputs
         reset_sim_caches()

@@ -1,6 +1,8 @@
 """Exact per-test analysis: the flip-subset explanation criterion."""
 
 import random
+import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -10,12 +12,13 @@ from repro.circuit.builder import NetlistBuilder
 from repro.circuit.generators import ripple_carry_adder
 from repro.circuit.library import load_circuit
 from repro.circuit.netlist import Site
+from repro.core.budget import Budget
 from repro.core.diagnose import Diagnoser
 from repro.core.pertest import build_pertest, pair_search
 from repro.core.backtrace import candidate_sites
 from repro.faults.models import StuckAtDefect
 from repro.serve.protocol import canonical_report_json
-from repro.sim.cache import SimContext, reset_sim_caches
+from repro.sim.cache import SimContext, reset_sim_caches, sim_context
 from repro.sim.compile import COUNTERS
 from repro.sim.event import changed_outputs, resimulate_with_overrides
 from repro.sim.logicsim import simulate
@@ -212,6 +215,26 @@ class _SubsetOracle:
         return found
 
 
+def _assert_single_flips_match(analysis, oracle, sites):
+    """Singletons (in ``sites`` order), atoms and per-pattern diffs of
+    every site agree with simulating the failing subset alone."""
+    assert analysis.sites == tuple(sites)
+    flips = {site: oracle.diff((site,)) for site in sites}
+    assert analysis.exact_singletons == {
+        idx: tuple(s for s in sites if oracle.matches(flips[s], idx))
+        for idx in oracle.failing
+    }
+    for site in sites:
+        assert analysis.atoms_of(site) == frozenset(
+            (idx, out)
+            for idx in oracle.failing
+            for out in oracle.predicted(flips[site], idx)
+            & oracle.datalog.failing_outputs_of(idx)
+        )
+        for idx in oracle.failing:
+            assert analysis.diff_at(site, idx) == oracle.predicted(flips[site], idx)
+
+
 _DIES = [
     (name, k, variant)
     for name in ("rca8", "alu8", "mul8")
@@ -240,23 +263,7 @@ class TestSharedContextEquivalence:
         sites = candidate_sites(netlist, datalog)
         analysis = build_pertest(netlist, patterns, datalog, sites)
         oracle = _SubsetOracle(netlist, patterns, datalog)
-
-        flips = {site: oracle.diff((site,)) for site in sites}
-        assert analysis.exact_singletons == {
-            idx: tuple(s for s in sites if oracle.matches(flips[s], idx))
-            for idx in oracle.failing
-        }
-        for site in sites:
-            assert analysis.site_atoms[site] == frozenset(
-                (idx, out)
-                for idx in oracle.failing
-                for out in oracle.predicted(flips[site], idx)
-                & datalog.failing_outputs_of(idx)
-            )
-            for idx in oracle.failing:
-                assert analysis.diff_at(site, idx) == oracle.predicted(
-                    flips[site], idx
-                )
+        _assert_single_flips_match(analysis, oracle, sites)
 
         truth = sorted({s for d in defects for s in d.ground_truth_sites()})
         multiplets = [tuple(truth)] + [
@@ -303,3 +310,195 @@ class TestCrossDieReuse:
         reset_sim_caches()
         cold = Diagnoser(netlist).diagnose(patterns, die_b)
         assert canonical_report_json(warm) == canonical_report_json(cold)
+
+
+# -- the flip index --------------------------------------------------------------
+
+
+class TestFlipIndex:
+    """The context's pattern-major flip index: the flip signatures,
+    transposed, whatever order or warmth the candidates arrive in."""
+
+    @pytest.mark.parametrize("name", ["rca8", "alu8", "mul8"])
+    def test_index_bits_are_the_flip_signatures(self, name):
+        reset_sim_caches()
+        netlist = load_circuit(name)
+        patterns = PatternSet.random(netlist, 40, seed=2)
+        diagnoser = Diagnoser(netlist)
+        for seed in (3, 4, 5, 6):
+            diagnoser.diagnose(patterns, _failing_die(netlist, patterns, 1, seed)[0])
+        ctx = sim_context(netlist, patterns)
+        index = ctx._index
+        expected: dict[tuple[int, str], int] = {}
+        indexed = [site for site, sid in index.ids.items() if index.indexed[sid]]
+        assert indexed
+        for site in indexed:
+            for out, vec in ctx.flip_signature(site).items():
+                for p in range(patterns.n):
+                    if vec >> p & 1:
+                        key = (p, out)
+                        expected[key] = expected.get(key, 0) | 1 << index.ids[site]
+        for p in range(patterns.n):
+            for out, bits in zip(index.outputs, index.row(p)):
+                assert bits == expected.get((p, out), 0), (p, out)
+
+    def test_shuffled_candidates_keep_the_callers_order(self):
+        netlist = load_circuit("alu8")
+        patterns = PatternSet.random(netlist, 48, seed=2)
+        datalog, _ = _failing_die(netlist, patterns, 2, seed=62)
+        sites = candidate_sites(netlist, datalog)
+        random.Random(5).shuffle(sites)
+        analysis = build_pertest(netlist, patterns, datalog, sites)
+        _assert_single_flips_match(
+            analysis, _SubsetOracle(netlist, patterns, datalog), sites
+        )
+
+    def test_single_fanout_branch_site(self):
+        reset_sim_caches()
+        netlist = load_circuit("alu8")
+        patterns = PatternSet.random(netlist, 48, seed=2)
+        datalog, _ = _failing_die(netlist, patterns, 1, seed=31)
+        sites = candidate_sites(netlist, datalog)
+        branch = next(
+            Site(site.net, netlist.fanout(site.net)[0])
+            for site in sites
+            if site.is_stem and netlist.fanout_count(site.net) == 1
+        )
+        assert branch not in netlist.sites()
+        sites.insert(len(sites) // 2, branch)
+        analysis = build_pertest(netlist, patterns, datalog, sites)
+        _assert_single_flips_match(
+            analysis, _SubsetOracle(netlist, patterns, datalog), sites
+        )
+
+    def test_budget_cut_is_independent_of_index_warmth(self):
+        netlist = load_circuit("alu8")
+        patterns = PatternSet.random(netlist, 40, seed=3)
+        die, _ = _failing_die(netlist, patterns, 2, seed=7)
+        sites = candidate_sites(netlist, die)
+        cut = len(sites) // 2
+
+        def governed():
+            budget = Budget(max_expansions=cut)
+            analysis = build_pertest(netlist, patterns, die, sites, budget=budget)
+            return budget.truncations, analysis
+
+        reset_sim_caches()
+        cold_cut, cold = governed()
+        reset_sim_caches()
+        for seed in range(8, 200):
+            other, _ = _failing_die(netlist, patterns, 2, seed=seed)
+            if other != die:
+                break
+        build_pertest(netlist, patterns, other, candidate_sites(netlist, other))
+        warm_before = sim_context(netlist, patterns)._index.indexed.count(1)
+        assert warm_before
+        warm_cut, warm = governed()
+
+        assert len(cold_cut) == 1 and cold_cut[0].stage == "pertest"
+        assert (cold_cut[0].done, cold_cut[0].total) == (cut, len(sites))
+        assert warm_cut == cold_cut
+        assert cold.sites == warm.sites == tuple(sites[:cut])
+        assert cold.exact_singletons == warm.exact_singletons
+        for site in sites:
+            assert cold.atoms_of(site) == warm.atoms_of(site)
+
+    def test_warm_die_simulates_nothing(self):
+        reset_sim_caches()
+        netlist = load_circuit("mul8")
+        patterns = PatternSet.random(netlist, 40, seed=4)
+        die, _ = _failing_die(netlist, patterns, 1, seed=9)
+        sites = candidate_sites(netlist, die)
+        build_pertest(netlist, patterns, die, sites)
+        before = COUNTERS.snapshot()
+        build_pertest(netlist, patterns, die, list(reversed(sites)))
+        delta = COUNTERS.delta(before)
+        assert delta["flip_misses"] == 0
+        assert delta["cone_passes"] == 0
+
+    def test_threads_share_one_cold_context(self):
+        netlist = load_circuit("mul8")
+        patterns = PatternSet.random(netlist, 40, seed=6)
+        dies = [_failing_die(netlist, patterns, 1, seed=seed)[0] for seed in range(8)]
+
+        def diagnose(die):
+            return canonical_report_json(Diagnoser(netlist).diagnose(patterns, die))
+
+        reset_sim_caches()
+        serial = [diagnose(die) for die in dies]
+        threaded: dict[int, str] = {}
+
+        def work(indices):
+            for i in indices:
+                threaded[i] = diagnose(dies[i])
+
+        # More threads than a CI runner has cores, switching as often as
+        # the interpreter allows.
+        n_threads = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reset_sim_caches()
+            workers = [
+                threading.Thread(
+                    target=work, args=(range(start, len(dies), n_threads),)
+                )
+                for start in range(n_threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [threaded[i] for i in range(len(dies))] == serial
+
+    def test_concurrent_fills_and_reads_lose_no_bits(self):
+        """Threads filling and reading one cold index, in small interleaved
+        steps, get the answers a serial run gets (an unguarded fold racing
+        an append drops bits)."""
+        netlist = load_circuit("mul8")
+        patterns = PatternSet.random(netlist, 40, seed=6)
+        rng = random.Random(8)
+        lists = [rng.sample(netlist.sites(), 200) for _ in range(4)]
+
+        def answers(ctx, sites):
+            view = ctx.flip_index(sites)
+            return [
+                view.explainers(p, (out,))
+                for p in range(patterns.n)
+                for out in netlist.outputs
+            ]
+
+        reset_sim_caches()
+        serial = [answers(sim_context(netlist, patterns), sites) for sites in lists]
+        results: dict[int, list] = {}
+
+        def work(i):
+            ctx = sim_context(netlist, patterns)
+            sites = lists[i]
+            # Small sweeps, each followed by reads, so the threads' fills
+            # and folds interleave.
+            for end in range(10, len(sites) + 1, 10):
+                view = ctx.flip_index(sites[:end])
+                for p in range(patterns.n):
+                    view.explainers(p, netlist.outputs[:1])
+            results[i] = answers(ctx, sites)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(3):
+                reset_sim_caches()
+                workers = [
+                    threading.Thread(target=work, args=(i,)) for i in range(len(lists))
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=120)
+                assert not any(worker.is_alive() for worker in workers)
+                assert [results[i] for i in range(len(lists))] == serial
+        finally:
+            sys.setswitchinterval(interval)

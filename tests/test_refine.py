@@ -5,7 +5,7 @@ import pytest
 from repro.circuit.netlist import Site
 from repro.core.backtrace import candidate_sites
 from repro.core.pertest import build_pertest
-from repro.core.refine import RefineConfig, allocate_hypotheses
+from repro.core.refine import RefineConfig, _aggressor_pool, allocate_hypotheses
 from repro.faults.models import (
     BridgeDefect,
     StuckAtDefect,
@@ -13,6 +13,7 @@ from repro.faults.models import (
     TransitionKind,
 )
 from repro.circuit.generators import ripple_carry_adder
+from repro.circuit.library import load_circuit
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.tester.harness import apply_test
@@ -134,3 +135,53 @@ class TestVindicationKnob:
         )
         assert len(lax) >= len(strict)
         assert any(h.false_alarms > 0 for h in lax) or len(lax) == len(strict)
+
+
+class TestAggressorPool:
+    """The level-band scan picks the pool a scan of every net picks."""
+
+    @staticmethod
+    def _full_scan(netlist, site, base, evidence, config):
+        victim = site.net
+        relevant = {idx for idx, _out in evidence.atoms_of(site)}
+        if not relevant:
+            relevant = set(evidence.datalog.failing_indices)
+        relevance_mask = sum(1 << idx for idx in relevant)
+        victim_cone = netlist.fanout_cone([victim])
+        scored = []
+        for net in netlist.nets():
+            if net == victim or net in victim_cone:
+                continue
+            if (
+                abs(netlist.level(net) - netlist.level(victim))
+                > config.bridge_level_distance
+            ):
+                continue
+            count = bin((base[net] ^ base[victim]) & relevance_mask).count("1")
+            if count:
+                scored.append((count, net))
+        scored.sort(key=lambda kv: (-kv[0], kv[1]))
+        return [net for _count, net in scored[: config.max_aggressors]]
+
+    @pytest.mark.parametrize("name", ["mul8", "alu16", "rnd100"])
+    def test_band_scan_equals_full_scan(self, name):
+        netlist = load_circuit(name)
+        patterns = PatternSet.random(netlist, 32, seed=5)
+        stem = netlist.stem_site(netlist.topo_order[len(netlist.topo_order) // 2])
+        result = apply_test(netlist, patterns, [StuckAtDefect(stem, 0)])
+        if not result.device_fails:
+            result = apply_test(netlist, patterns, [StuckAtDefect(stem, 1)])
+        assert result.device_fails
+        base = simulate(netlist, patterns)
+        evidence = build_pertest(
+            netlist,
+            patterns,
+            result.datalog,
+            candidate_sites(netlist, result.datalog),
+            base,
+        )
+        for config in (RefineConfig(), RefineConfig(bridge_level_distance=0)):
+            for site in netlist.sites(include_branches=False):
+                assert _aggressor_pool(
+                    netlist, patterns, site, base, evidence, config
+                ) == self._full_scan(netlist, site, base, evidence, config), site
