@@ -34,7 +34,7 @@ from repro.campaign.tables import format_table
 from repro.circuit.bench import parse_bench_file
 from repro.circuit.library import circuit_names, load_circuit
 from repro.circuit.netlist import Netlist
-from repro.core.diagnose import DiagnosisConfig, Diagnoser
+from repro.core.diagnose import COVER_ENGINES, DiagnosisConfig, Diagnoser
 from repro.core.single_fault import diagnose_single_fault
 from repro.core.slat import diagnose_slat
 from repro.errors import DatalogError, ReproError
@@ -558,12 +558,11 @@ def _add_budget_args(p: argparse.ArgumentParser) -> None:
     """Search-governance flags shared by ``diagnose`` and ``campaign``."""
     p.add_argument(
         "--cover-engine",
-        choices=("greedy", "exact", "clustered"),
+        choices=COVER_ENGINES,
         default="greedy",
-        help="multiplet search engine: greedy (historical default), exact "
+        help="multiplet search engine: greedy (historical default) or exact "
         "(implicit hitting sets, provably minimum covers with an "
-        "optimality status) or clustered (per-defect-group covers via "
-        "failure clustering, then joint verification)",
+        "optimality status)",
     )
     p.add_argument(
         "--deadline",

@@ -10,8 +10,6 @@ Modules:
   rescue, pruning, and exact enumeration for small instances),
 - :mod:`repro.core.hitting` -- implicit-hitting-set exact cover engine
   (provably minimum-cardinality multiplets with an optimality status),
-- :mod:`repro.core.clusterdiag` -- hypergraph test-distance failure
-  clustering for per-defect-group sub-diagnoses,
 - :mod:`repro.core.refine` -- fault-model allocation per candidate site,
 - :mod:`repro.core.scoring` -- response-match metrics and vindication,
 - :mod:`repro.core.diagnose` -- the :class:`Diagnoser` pipeline,

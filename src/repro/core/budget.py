@@ -48,12 +48,11 @@ COMPLETENESS_EXACT = "exact"
 COMPLETENESS_TRUNCATED = "truncated"
 COMPLETENESS_DEADLINE = "deadline"
 
-#: Optimality statuses reported by the exact cover engines
-#: (:mod:`repro.core.hitting` / :mod:`repro.core.clusterdiag`), orthogonal
-#: to the completeness verdict: ``optimal`` means the returned cover
-#: cardinality is provably minimum over the candidate space; ``bounded``
-#: means a structural bound (pool cap, size cap, check ceiling, or
-#: multi-cluster decomposition) limited the search without a minimality
+#: Optimality statuses reported by the exact cover engine
+#: (:mod:`repro.core.hitting`), orthogonal to the completeness verdict:
+#: ``optimal`` means the returned cover cardinality is provably minimum
+#: over the candidate space; ``bounded`` means a structural bound (pool
+#: cap, size cap or check ceiling) limited the search without a minimality
 #: proof; ``budget`` means the :class:`Budget` cut the search first.
 OPTIMALITY_OPTIMAL = "optimal"
 OPTIMALITY_BOUNDED = "bounded"

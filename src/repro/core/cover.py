@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, Sequence
 
 from repro.circuit.netlist import Site
-from repro.core.budget import CAUSE_CHECKS, Budget
+from repro.core.budget import CAUSE_CHECKS, CAUSE_MULTIPLETS, Budget
 from repro.core.pertest import PerTestAnalysis, pair_search
 from repro.core.xcover import Atom, XCoverAnalysis
 
@@ -45,7 +46,6 @@ def greedy_cover(
     xc: XCoverAnalysis,
     max_size: int = 6,
     top_k: int = 24,
-    rescue_pairs: bool = True,
     rescue_pair_cap: int = 400,
     budget: Budget | None = None,
 ) -> CoverSolution:
@@ -101,7 +101,7 @@ def greedy_cover(
             continue
 
         # Greedy stalled: masking deadlock or genuinely unexplainable residue.
-        if rescue_pairs and len(chosen) + 2 <= max_size:
+        if len(chosen) + 2 <= max_size:
             pair, pair_cov, spent = _pair_rescue(
                 xc, chosen, covered, uncovered, rescue_pair_cap, budget
             )
@@ -177,36 +177,24 @@ def _minimize(
     return result
 
 
-def enumerate_min_covers(
-    xc: XCoverAnalysis,
-    max_candidates: int = 18,
-    max_size: int = 4,
-    max_checks: int = 20000,
-    budget: Budget | None = None,
+def _sweep_min_covers(
+    pool: Sequence[Site],
+    covers: Callable[[tuple[Site, ...]], bool],
+    max_size: int,
+    max_checks: int,
+    budget: Budget | None,
 ) -> list[tuple[Site, ...]]:
-    """All minimum-cardinality covers over the most promising candidates.
+    """Every combination of ``pool`` that ``covers`` accepts, at the
+    smallest size that has one.
 
-    Candidates are the ``max_candidates`` sites with the largest individual
-    reach (plus every site needed by some atom only they can touch).  Sizes
-    are explored in increasing order; the first size with a complete cover
-    wins and *all* covers of that size are returned (the diagnosis
-    resolution statistic).  Returns an empty list when the check budget is
-    exhausted without a complete cover.
-
-    A :class:`Budget` bounds the enumeration on top of ``max_checks``:
-    every combination charges one expansion, deadline/expansion exhaustion
-    ends the sweep with the covers found so far, and the multiplet ceiling
-    caps how many tying covers are collected (both recorded as ``cover``
-    truncations).
+    Sizes ascend from 1 to ``max_size``; the first size with an accepted
+    combination ends the sweep.  ``max_checks`` bounds the combinations
+    tried.  A :class:`Budget` charges one expansion per combination,
+    deadline/expansion exhaustion ends the sweep with the covers found so
+    far, and the multiplet ceiling caps how many tying covers are
+    collected; ``max_checks`` and the ceiling are recorded as ``cover``
+    truncations.
     """
-    atoms = xc.atoms
-    if not atoms:
-        return []
-    pool = sorted(
-        (s for s in xc.sites if xc.atoms_of(s)),
-        key=lambda s: len(xc.atoms_of(s)),
-        reverse=True,
-    )[:max_candidates]
     checks = 0
     for size in range(1, max_size + 1):
         solutions: list[tuple[Site, ...]] = []
@@ -222,20 +210,54 @@ def enumerate_min_covers(
                 if budget.multiplets_exhausted(len(solutions)):
                     budget.record(
                         "cover",
-                        "multiplets",
+                        CAUSE_MULTIPLETS,
                         len(solutions),
                         budget.max_multiplets or 0,
                     )
                     return solutions
                 budget.charge()
-            union = frozenset().union(*(xc.atoms_of(s) for s in combo))
-            if union != atoms and size == 1:
-                continue
-            if union == atoms or xc.joint_covered_atoms(combo) == atoms:
-                solutions.append(tuple(combo))
+            if covers(combo):
+                solutions.append(combo)
         if solutions:
             return solutions
     return []
+
+
+def enumerate_min_covers(
+    xc: XCoverAnalysis,
+    max_candidates: int = 18,
+    max_size: int = 4,
+    max_checks: int = 20000,
+    budget: Budget | None = None,
+) -> list[tuple[Site, ...]]:
+    """All minimum-cardinality covers over the most promising candidates.
+
+    Candidates are the ``max_candidates`` sites with the largest individual
+    reach.  Sizes are explored in increasing order; the first size with a
+    complete cover wins and *all* covers of that size are returned (the
+    diagnosis resolution statistic).  Returns an empty list when the check
+    budget is exhausted without a complete cover.  A combination covers
+    when the union of its members' reaches is every atom (the only test at
+    size 1, where reach is exact), else when its joint X reach is.
+    ``max_checks`` and a :class:`Budget` bound the sweep as in
+    :func:`_sweep_min_covers`.
+    """
+    atoms = xc.atoms
+    if not atoms:
+        return []
+    pool = sorted(
+        (s for s in xc.sites if xc.atoms_of(s)),
+        key=lambda s: len(xc.atoms_of(s)),
+        reverse=True,
+    )[:max_candidates]
+
+    def covers(combo: tuple[Site, ...]) -> bool:
+        union = frozenset().union(*(xc.atoms_of(s) for s in combo))
+        return union == atoms or (
+            len(combo) > 1 and xc.joint_covered_atoms(combo) == atoms
+        )
+
+    return _sweep_min_covers(pool, covers, max_size, max_checks, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +400,8 @@ def enumerate_pertest_min_covers(
     combinations are verified with the exact subset-flip criterion (joint
     diffs are cached inside the analysis, so repeated subsets are free).
     Only complete covers are returned; the first cardinality with any
-    complete cover defines the minimum.
-
-    A :class:`Budget` bounds the enumeration on top of ``max_checks``:
-    every combination charges one expansion, deadline/expansion exhaustion
-    ends the sweep with the covers found so far, and the multiplet ceiling
-    caps how many tying covers are collected (recorded as ``cover``
-    truncations).
+    complete cover defines the minimum.  ``max_checks`` and a
+    :class:`Budget` bound the sweep as in :func:`_sweep_min_covers`.
     """
     failing = set(analysis.datalog.failing_indices)
     if not failing:
@@ -415,29 +432,10 @@ def enumerate_pertest_min_covers(
         pool.extend(by_partial[: max_candidates - len(pool)])
     pool = pool[:max_candidates]
 
-    checks = 0
-    for size in range(1, max_size + 1):
-        solutions: list[tuple[Site, ...]] = []
-        for combo in combinations(pool, size):
-            checks += 1
-            if checks > max_checks:
-                if budget is not None:
-                    budget.record("cover", CAUSE_CHECKS, max_checks, max_checks)
-                return solutions
-            if budget is not None:
-                if checks > 1 and budget.stop("cover", checks - 1, max_checks):
-                    return solutions
-                if budget.multiplets_exhausted(len(solutions)):
-                    budget.record(
-                        "cover",
-                        "multiplets",
-                        len(solutions),
-                        budget.max_multiplets or 0,
-                    )
-                    return solutions
-                budget.charge()
-            if analysis.explained_patterns(combo) == failing:
-                solutions.append(tuple(combo))
-        if solutions:
-            return solutions
-    return []
+    return _sweep_min_covers(
+        pool,
+        lambda combo: analysis.explained_patterns(combo) == failing,
+        max_size,
+        max_checks,
+        budget,
+    )

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from repro.circuit.netlist import Netlist, Site
 from repro.core.backtrace import candidate_sites
 from repro.core.budget import Budget
-from repro.core.clusterdiag import cluster_cover
 from repro.core.cover import (
     enumerate_min_covers,
     enumerate_pertest_min_covers,
@@ -53,6 +52,8 @@ from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
 METHOD_NAME = "xcover"  #: campaign/report tag of the proposed method
+#: Values of :attr:`DiagnosisConfig.cover_engine` (and ``--cover-engine``).
+COVER_ENGINES = ("greedy", "exact")
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,10 @@ class DiagnosisConfig:
     #:   enumeration, the historical behavior (reports byte-identical),
     #: - ``"exact"`` -- implicit-hitting-set search
     #:   (:mod:`repro.core.hitting`): provably minimum-cardinality covers
-    #:   with an ``optimality`` status on the report,
-    #: - ``"clustered"`` -- hypergraph test-distance failure clustering
-    #:   (:mod:`repro.core.clusterdiag`): per-defect-group hitting-set
-    #:   covers joined under a joint verification pass.
+    #:   with an ``optimality`` status on the report.
     #:
     #: The greedy solution always runs first as the anytime incumbent and
-    #: fallback; ``"exact"``/``"clustered"`` refine it.
+    #: fallback; ``"exact"`` refines it.
     cover_engine: str = "greedy"
     include_branches: bool = True
     max_multiplet_size: int = 6
@@ -132,7 +130,7 @@ class Diagnoser:
         self.config = config or DiagnosisConfig()
         if self.config.engine not in ("pertest", "xcover"):
             raise DiagnosisError(f"unknown engine {self.config.engine!r}")
-        if self.config.cover_engine not in ("greedy", "exact", "clustered"):
+        if self.config.cover_engine not in COVER_ENGINES:
             raise DiagnosisError(
                 f"unknown cover engine {self.config.cover_engine!r}"
             )
@@ -485,20 +483,6 @@ class Diagnoser:
                 if result.covers:
                     # A verified cover explains every failing pattern.
                     unexplained = frozenset()
-            elif cfg.cover_engine == "clustered":
-                cres = cluster_cover(
-                    analysis,
-                    seed_sites=solution.sites + solution.pair_candidates,
-                    max_size=cfg.max_multiplet_size,
-                    max_covers=cfg.max_reported_multiplets,
-                    budget=budget,
-                )
-                multiplet_sets = list(cres.covers)
-                optimality = cres.optimality
-                engine_stats["n_failure_clusters"] = float(len(cres.clusters))
-                engine_stats["n_cluster_fallback"] = float(cres.fallback)
-                if cres.covers:
-                    unexplained = cres.unexplained
             elif cfg.enumerate_exact:
                 # Enumerate at least up to the size the greedy needed, so
                 # that every tying alternative of a pair-rescued explanation

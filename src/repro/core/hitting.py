@@ -88,10 +88,6 @@ class HittingSetResult:
     verifications: int = 0
     pool_size: int = 0
 
-    @property
-    def complete(self) -> bool:
-        return bool(self.covers)
-
 
 def conflict_pool(
     analysis: PerTestAnalysis,
@@ -124,7 +120,6 @@ def conflict_pool(
 
 def hitting_set_cover(
     analysis: PerTestAnalysis,
-    failing: Iterable[int] | None = None,
     seed_sites: Sequence[Site] = (),
     incumbent: Sequence[Site] | None = None,
     max_size: int = 6,
@@ -133,7 +128,8 @@ def hitting_set_cover(
     max_combos: int = 500_000,
     budget: Budget | None = None,
 ) -> HittingSetResult:
-    """All minimum-cardinality covers of ``failing`` by implicit hitting sets.
+    """All minimum-cardinality covers of the failing patterns by implicit
+    hitting sets.
 
     ``incumbent`` (typically the greedy solution, when complete) upper
     bounds the cardinality sweep: the search never explores sizes beyond
@@ -143,9 +139,7 @@ def hitting_set_cover(
     the ``max_checks`` discipline of the reference enumeration; a
     :class:`Budget` additionally meters one expansion per verification.
     """
-    failing_set = (
-        set(analysis.datalog.failing_indices) if failing is None else set(failing)
-    )
+    failing_set = set(analysis.datalog.failing_indices)
     if not failing_set:
         return HittingSetResult((), OPTIMALITY_OPTIMAL, 0)
 

@@ -138,9 +138,6 @@ class PerTestAnalysis:
             out for out, vec in diff.items() if (vec >> pattern_index) & 1
         )
 
-    def exact_match(self, site: Site, pattern_index: int) -> bool:
-        return site in self.exact_singletons.get(pattern_index, ())
-
     # -- joint queries ---------------------------------------------------------------
 
     def assignment_diff(
@@ -177,10 +174,6 @@ class PerTestAnalysis:
         self._joint_cache[key] = result
         return result
 
-    def joint_flip_diff(self, sites: Iterable[Site]) -> dict[str, int]:
-        """Masked per-output diff of flipping all ``sites`` (no pins)."""
-        return self.assignment_diff(sites)
-
     def subset_explains(self, subset: Sequence[Site], pattern_index: int) -> bool:
         """Does the multiplet ``subset`` explain pattern ``t`` exactly?
 
@@ -197,9 +190,7 @@ class PerTestAnalysis:
                     return True
         return False
 
-    def explained_patterns(
-        self, multiplet: Sequence[Site], max_flips: int | None = None
-    ) -> set[int]:
+    def explained_patterns(self, multiplet: Sequence[Site]) -> set[int]:
         """Failing patterns explained by some flip/pin assignment of the
         multiplet.
 
@@ -208,10 +199,9 @@ class PerTestAnalysis:
         across calls and across dies.
         """
         sites = list(dict.fromkeys(multiplet))
-        limit = len(sites) if max_flips is None else min(max_flips, len(sites))
         remaining = self._fail_mask
         explained: set[int] = set()
-        for size in range(1, limit + 1):
+        for size in range(1, len(sites) + 1):
             if not remaining:
                 break
             for flips in combinations(sites, size):

@@ -233,6 +233,18 @@ class TestErrorReporting:
         assert code == 2
         assert "cannot read datalog" in err
 
+    def test_unknown_cover_engine_exits_2(self, capsys, tmp_path):
+        log = tmp_path / "fail.log"
+        run(capsys, "inject", "rca4", "-k", "1", "--seed", "4", "-o", str(log))
+        for argv in (
+            ["diagnose", "rca4", str(log)],
+            ["campaign", "rca4", "-n", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--cover-engine", "clustered"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'clustered'" in capsys.readouterr().err
+
 
 class TestServe:
     """Exit-code contract: supervisors distinguish config (2), bind (3),

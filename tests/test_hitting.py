@@ -1,5 +1,6 @@
 """Implicit-hitting-set engine tests: differential optimality vs the
-reference enumeration, optimality statuses, and anytime behavior."""
+reference enumeration, optimality statuses, anytime behavior, and
+cover-engine threading through the Diagnoser."""
 
 import pytest
 
@@ -14,8 +15,11 @@ from repro.core.budget import (
     Budget,
 )
 from repro.core.cover import enumerate_pertest_min_covers, greedy_pertest_cover
+from repro.core.diagnose import DiagnosisConfig, Diagnoser
 from repro.core.hitting import conflict_pool, hitting_set_cover
 from repro.core.pertest import build_pertest
+from repro.core.report import DiagnosisReport
+from repro.errors import DiagnosisError
 from repro.faults.models import StuckAtDefect
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
@@ -216,3 +220,42 @@ class TestDeterminism:
         pt = _analysis(rca6, pats, DEFECT_SETS[2])
         failing = list(pt.datalog.failing_indices)
         assert conflict_pool(pt, failing) == conflict_pool(pt, failing)
+
+
+class TestEngineThreading:
+    @pytest.fixture(scope="class")
+    def datalog(self, rca6, pats):
+        defects = [StuckAtDefect(Site("a0"), 1), StuckAtDefect(Site("b5"), 0)]
+        result = apply_test(rca6, pats, defects)
+        assert result.device_fails
+        return result.datalog
+
+    def test_exact_engine_reports_optimality(self, rca6, pats, datalog):
+        config = DiagnosisConfig(cover_engine="exact")
+        report = Diagnoser(rca6, config).diagnose(pats, datalog)
+        assert report.optimality == OPTIMALITY_OPTIMAL
+        assert report.multiplets
+        assert report.multiplets[0].complete
+
+    def test_default_engine_leaves_optimality_unset(self, rca6, pats, datalog):
+        report = Diagnoser(rca6).diagnose(pats, datalog)
+        assert report.optimality is None
+        assert "optimality" not in report.to_dict()
+
+    def test_optimality_round_trips_through_json(self, rca6, pats, datalog):
+        config = DiagnosisConfig(cover_engine="exact")
+        report = Diagnoser(rca6, config).diagnose(pats, datalog)
+        payload = report.to_dict()
+        assert payload["optimality"] == report.optimality
+        assert DiagnosisReport.from_dict(payload).optimality == report.optimality
+
+    def test_unknown_engine_rejected(self, rca6):
+        for engine in ("branch-and-bound", "clustered"):
+            with pytest.raises(DiagnosisError):
+                Diagnoser(rca6, DiagnosisConfig(cover_engine=engine))
+
+    def test_xcover_engine_incompatible(self, rca6):
+        with pytest.raises(DiagnosisError):
+            Diagnoser(
+                rca6, DiagnosisConfig(engine="xcover", cover_engine="exact")
+            )

@@ -82,15 +82,15 @@ class TestJointFlip:
         defects = [StuckAtDefect(Site("b2"), 1)]
         analysis, _result = _analysis(rca6, pats, defects)
         a, b = analysis.sites[0], analysis.sites[1]
-        d1 = analysis.joint_flip_diff((a, b))
-        d2 = analysis.joint_flip_diff((b, a))
+        d1 = analysis.assignment_diff((a, b))
+        d2 = analysis.assignment_diff((b, a))
         assert d1 == d2
         assert (frozenset((a, b)), frozenset()) in analysis._joint_cache
 
     def test_empty_subset(self, rca6, pats):
         defects = [StuckAtDefect(Site("b2"), 1)]
         analysis, _result = _analysis(rca6, pats, defects)
-        assert analysis.joint_flip_diff(()) == {}
+        assert analysis.assignment_diff(()) == {}
 
     def test_diff_at_site(self, rca6, pats):
         defects = [StuckAtDefect(Site("b2"), 1)]
