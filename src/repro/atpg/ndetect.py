@@ -24,7 +24,6 @@ from repro.circuit.netlist import Netlist
 from repro.faults.collapse import collapse_stuck_at
 from repro.faults.models import Defect
 from repro.sim.faultsim import fault_coverage
-from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 
 
@@ -51,8 +50,8 @@ class NDetectReport:
         return self.n_meeting_target / testable if testable else 1.0
 
 
-def _detection_counts(netlist, patterns, faults, base=None):
-    grading = fault_coverage(netlist, patterns, faults, base)
+def _detection_counts(netlist, patterns, faults):
+    grading = fault_coverage(netlist, patterns, faults)
     return {
         fault: bin(grading.detect_bits.get(fault, 0)).count("1")
         for fault in faults
@@ -82,8 +81,7 @@ def generate_ndetect_tests(
         if not deficient():
             break
         batch = PatternSet.random(netlist, random_batch, rng)
-        batch_base = simulate(netlist, batch)
-        grading = fault_coverage(netlist, batch, deficient(), batch_base)
+        grading = fault_coverage(netlist, batch, deficient())
         keep: set[int] = set()
         gains = dict(counts)
         for fault, bits in grading.detect_bits.items():

@@ -78,9 +78,11 @@ class Podem:
             for net in netlist.nets()
         }
         # The fault under search: the faulty machine may differ from the
-        # good one only inside ``_cone``; ``_stem`` is forced to ``_forced``,
-        # or ``_pin`` (gate, pin) reads it.
+        # good one only inside ``_cone`` (its gates, in topological order,
+        # are ``_cone_gates``); ``_stem`` is forced to ``_forced``, or
+        # ``_pin`` (gate, pin) reads it.
         self._cone: frozenset[str] = frozenset()
+        self._cone_gates: tuple[str, ...] = ()
         self._stem: str | None = None
         self._pin: tuple[str, int] | None = None
         self._forced = X
@@ -112,6 +114,7 @@ class Podem:
         self._stem = self._pin = None
         if fault is None:
             self._cone = frozenset()
+            self._cone_gates = ()
             return
         site = fault.site
         self._forced = fault.value
@@ -121,6 +124,10 @@ class Podem:
         else:
             self._stem = entry = site.net
         self._cone = self.netlist.fanout_cone([entry])
+        rank, order = self._rank, self._order
+        self._cone_gates = tuple(
+            order[r] for r in sorted(rank[net] for net in self._cone if net in rank)
+        )
         if entry in self._rank:
             seeds = [self._rank[entry]]
         else:  # a primary input's stem
@@ -203,16 +210,18 @@ class Podem:
 
         Pure pruning heuristic: when no *net* yet carries an error (e.g. a
         just-activated branch fault, whose error lives at a pin), pruning
-        does not apply and the search must continue.
+        does not apply and the search must continue.  Only the fault's
+        cone can carry an error, and every path from an error to an output
+        stays inside it, so only the cone is scanned.
         """
-        if not any(self._error(good, faulty, net) for net in self.netlist.nets()):
+        cone = self._cone
+        if not any(self._error(good, faulty, net) for net in cone):
             return True
-        frontier = [
+        alive = {
             net
-            for net in self.netlist.nets()
+            for net in cone
             if self._error(good, faulty, net) or faulty[net] == X or good[net] == X
-        ]
-        alive = set(frontier)
+        }
         for out in self.netlist.outputs:
             if out in alive and self._reaches_error_backward(out, alive, good, faulty):
                 return True
@@ -247,8 +256,9 @@ class Podem:
         faulty: dict[str, int],
         fault: StuckAtDefect | None = None,
     ) -> list[str]:
+        # A gate reading an error net lies in the fault's cone.
         frontier = []
-        for net in self.netlist.topo_order:
+        for net in self._cone_gates:
             if good[net] != X and faulty[net] != X:
                 continue
             gate = self.netlist.gates[net]

@@ -143,6 +143,7 @@ class Netlist:
         self._site_table: (
             tuple[dict[str, Site], dict[str, tuple[Site, ...]]] | None
         ) = None
+        self._ffr_table: dict[str, str] | None = None
         self._fingerprint: str | None = None
 
     # -- construction-time checks ------------------------------------------
@@ -398,14 +399,21 @@ class Netlist:
         """Root of the fanout-free region containing ``net``.
 
         Walking forward from ``net``, the FFR root is the first net that
-        either fans out to more than one pin or is a primary output.
+        does not feed exactly one pin or is a primary output.  Tabled for
+        every net on first use.
         """
-        current = net
-        while True:
-            fan = self._fanouts[current]
-            if len(fan) != 1 or current in self.outputs:
-                return current
-            current = fan[0][0]
+        table = self._ffr_table
+        if table is None:
+            outputs = set(self.outputs)
+            table = {}
+            for name in reversed(tuple(self.nets())):
+                fan = self._fanouts[name]
+                if len(fan) != 1 or name in outputs:
+                    table[name] = name
+                else:
+                    table[name] = table[fan[0][0]]
+            self._ffr_table = table
+        return table[net]
 
     # -- defect sites ------------------------------------------------------------
 

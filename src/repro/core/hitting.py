@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.circuit.netlist import Site
 from repro.core.budget import (
@@ -90,26 +90,20 @@ class HittingSetResult:
 
 
 def conflict_pool(
-    analysis: PerTestAnalysis,
-    failing: Iterable[int],
-    seed_sites: Sequence[Site] = (),
+    analysis: PerTestAnalysis, seed_sites: Sequence[Site] = ()
 ) -> list[Site]:
-    """The structural candidate pool for ``failing``: seeds first, then
-    every analysis site inside some pattern's failing-output fan-in cone,
-    ranked by exact-evidence weight (atoms on the failing subset) with a
-    deterministic string tie-break."""
-    failing_set = set(failing)
+    """The structural candidate pool of the failing patterns: seeds first,
+    then every analysis site inside some failing pattern's failing-output
+    fan-in cone, ranked by exact-evidence weight (its reproduced fail
+    atoms) with a deterministic string tie-break."""
+    datalog = analysis.datalog
     cones = [
-        analysis.netlist.fanin_cone(analysis.datalog.failing_outputs_of(idx))
-        for idx in sorted(failing_set)
+        analysis.netlist.fanin_cone(datalog.failing_outputs_of(idx))
+        for idx in datalog.failing_indices
     ]
-
-    def weight(site: Site) -> int:
-        return sum(1 for idx, _out in analysis.atoms_of(site) if idx in failing_set)
-
     ranked = sorted(
         (s for s in analysis.sites if any(s.net in cone for cone in cones)),
-        key=lambda s: (-weight(s), str(s)),
+        key=lambda s: (-len(analysis.atoms_of(s)), str(s)),
     )
     swept = set(analysis.sites)
     pool = [s for s in dict.fromkeys(seed_sites) if s in swept]
@@ -143,7 +137,7 @@ def hitting_set_cover(
     if not failing_set:
         return HittingSetResult((), OPTIMALITY_OPTIMAL, 0)
 
-    pool = conflict_pool(analysis, failing_set, seed_sites)
+    pool = conflict_pool(analysis, seed_sites)
     bounded_pool = len(pool) > pool_cap
     pool = pool[:pool_cap]
     site_bit = {site: 1 << i for i, site in enumerate(pool)}

@@ -16,6 +16,11 @@ once and memoizes:
   stages (or two fault models) requesting the same injected behavior share
   one simulation,
 - X reach: site -> per-output X-corruption vectors,
+- criticality: per net, the patterns under which complementing it
+  complements its fanout-free region's root, and per root, those under
+  which complementing the root changes some output, so any site's
+  critical patterns cost gate-local evaluations plus at most one cone
+  pass per region root, not one per query (:meth:`SimContext.critical`),
 - the flip index: the flip signatures transposed pattern-major, one
   bitset over site ids per ``(pattern, output)`` strobe, so a die's
   per-test question -- which candidates' lone flip reproduces exactly
@@ -38,6 +43,7 @@ import threading
 from collections import OrderedDict, defaultdict
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.circuit.gates import eval2
 from repro.circuit.netlist import Netlist, Site
 from repro.errors import SimulationError
 from repro.obs.trace import trace_event
@@ -68,6 +74,8 @@ class SimContext:
         "_flip",
         "_resim",
         "_xreach",
+        "_paths",
+        "_observed",
         "_kernels",
         "_base_slots",
         "_out_pairs",
@@ -84,6 +92,8 @@ class SimContext:
         self._flip: dict[Site, dict[str, int]] = {}
         self._resim: dict[frozenset, dict[str, int]] = {}
         self._xreach: dict[Site, dict[str, int]] = {}
+        self._paths: dict[str, int] = {}
+        self._observed: dict[str, int] = {}
         # The backend is captured once per context: the memo tables are
         # engine-agnostic (both backends are differentially identical), so
         # re-reading ``REPRO_SIM`` on every query would only buy dispatch
@@ -156,6 +166,15 @@ class SimContext:
                 st[slot] = value
                 if net not in gates:
                     input_slots.append(slot)
+            elif len(overrides) == 1:
+                # A lone pin override is a stem override of its gate, over
+                # the same cone: evaluate the gate here and spare the pin
+                # kernel's codegen.
+                gate = gates[branch[0]]
+                ins = [base[slot_of[src]] for src in gate.inputs]
+                ins[branch[1]] = value
+                roots.append(branch[0])
+                st[slot_of[branch[0]]] = eval2(gate.kind, ins, mask)
             else:
                 roots.append(branch[0])
                 pp[slot_of[branch[0]] * program.stride + branch[1]] = value
@@ -196,6 +215,78 @@ class SimContext:
             self._flip.clear()
         self._flip[site] = diff
         return diff
+
+    def critical(self, site: Site, care: int | None = None) -> int:
+        """Patterns under which complementing ``site`` changes some output,
+        restricted to ``care`` when given.
+
+        Critical path tracing (Abramovici, Menon & Miller, DAC 1983) inside
+        the site's fanout-free region: the AND of the gate-local
+        sensitivities along its unique path to the region's root (each an
+        :func:`~repro.circuit.gates.eval2` of the gate on the base values
+        with that pin complemented), ANDed with the OR of the root's
+        :meth:`flip_signature`.  Exact for two-valued base values, since
+        nothing off that path depends on the site.  Path sensitizations
+        are memoized per net, and a root is flipped only once a query
+        sensitizes a path to it under ``care``, so a context pays at most
+        one cone pass per region root however many of the region's sites
+        it is asked about.  A single-site override's detections are
+        ``critical(site, override ^ base)``.
+        """
+        netlist = self.netlist
+        netlist.validate_site(site)
+        branch = site.branch
+        if branch is None:
+            net = site.net
+            path = self._sensitized(net)
+        else:
+            net = branch[0]
+            path = self._sensitivity(*branch)
+            if path:
+                path &= self._sensitized(net)
+        if care is not None:
+            path &= care
+        if not path:
+            return 0
+        root = netlist.ffr_root(net)
+        observed = self._observed.get(root)
+        if observed is None:
+            observed = 0
+            for delta in self.flip_signature(netlist.stem_site(root)).values():
+                observed |= delta
+            self._observed[root] = observed
+        return path & observed
+
+    def _sensitized(self, net: str) -> int:
+        """Patterns under which complementing ``net`` complements its
+        region root: walk to the first net already known (or the root),
+        then fill the path back."""
+        netlist = self.netlist
+        memo = self._paths
+        walk: list[str] = []
+        while net not in memo:
+            if netlist.ffr_root(net) == net:
+                memo[net] = self.mask
+                break
+            walk.append(net)
+            net = netlist.fanout(net)[0][0]
+        path = memo[net]
+        for net in reversed(walk):
+            if path:
+                path &= self._sensitivity(*netlist.fanout(net)[0])
+            memo[net] = path
+        return path
+
+    def _sensitivity(self, gate_net: str, pin: int) -> int:
+        """Patterns under which complementing pin ``pin`` of gate
+        ``gate_net`` complements the gate's output."""
+        base = self.base
+        mask = self.mask
+        gate = self.netlist.gates[gate_net]
+        ins = [base[src] for src in gate.inputs]
+        ins[pin] ^= mask
+        COUNTERS.gate_evals += 1
+        return eval2(gate.kind, ins, mask) ^ base[gate_net]
 
     def flip_index(
         self,

@@ -63,7 +63,7 @@ class SimCounters:
     settings.  (``kernel_compiles`` is the only backend-specific counter
     and is never surfaced in reports.)
     ``gate_evals`` counts nets visited: a full pass adds the gate count, a
-    cone pass adds the cone size.
+    cone pass adds the cone size, a critical-path sensitivity adds one.
     """
 
     full_passes: int = 0  #: 2-valued full-netlist passes

@@ -7,9 +7,12 @@ Used by ATPG (coverage grading, fault dropping), the SLAT baseline
 The fast path expresses a defect as a set of *site overrides* computed from
 fault-free values -- valid whenever the defect's behavior does not depend
 on nets inside its own fanout cone -- and resimulates only the overridden
-cone.  Context-dependent cases (e.g. a bridge whose aggressor is disturbed
-by the victim) transparently fall back to the full
-:class:`~repro.faults.injection.FaultyCircuit` fixpoint simulation.
+cone.  Grading a one-site override needs no resimulation of its own: its
+detections are the site's critical patterns on the shared context, where
+they differ from the fault-free value.  Context-dependent cases (e.g. a
+bridge whose aggressor is disturbed by the victim) transparently fall back
+to the full :class:`~repro.faults.injection.FaultyCircuit` fixpoint
+simulation.
 """
 
 from __future__ import annotations
@@ -112,7 +115,23 @@ def detect_vector(
     defect: Defect,
     base_values: Mapping[str, int] | None = None,
 ) -> int:
-    """Bit vector of patterns that detect ``defect`` on any output."""
+    """Bit vector of patterns that detect ``defect`` on any output.
+
+    A defect overriding a single site is answered on the shared context,
+    when it serves ``base_values``, by critical path tracing
+    (:meth:`SimContext.critical <repro.sim.cache.SimContext.critical>`):
+    the patterns where the override differs from the fault-free value and
+    complementing the site reaches an output.
+    """
+    if base_values is None:
+        base_values = sim_context(netlist, patterns).base
+    overrides = single_defect_overrides(netlist, patterns, defect, base_values)
+    if overrides is not None and len(overrides) == 1:
+        ctx = active_context(netlist, patterns, base_values)
+        if ctx is not None:
+            ((site, value),) = overrides.items()
+            netlist.validate_site(site)  # before reading its base value
+            return ctx.critical(site, value ^ base_values[site.net])
     vec = 0
     for delta in defect_output_diff(netlist, patterns, defect, base_values).values():
         vec |= delta
@@ -142,15 +161,14 @@ def fault_coverage(
     netlist: Netlist,
     patterns: PatternSet,
     faults: Iterable[Defect],
-    base_values: Mapping[str, int] | None = None,
 ) -> FaultCoverageResult:
-    """Grade ``patterns`` against ``faults`` (serial, bit-parallel per fault).
+    """Grade ``patterns`` against ``faults`` (serial, bit-parallel per fault)
+    on their shared context.
 
     Defects whose injected circuit oscillates are reported separately as
     ``unsimulable`` rather than silently dropped.
     """
-    if base_values is None:
-        base_values = sim_context(netlist, patterns).base
+    base_values = sim_context(netlist, patterns).base
     result = FaultCoverageResult()
     for fault in faults:
         try:
@@ -174,22 +192,46 @@ def effective_pattern_order(
     """Greedy pattern ranking by marginal fault detection (for compaction).
 
     Returns pattern indices ordered so that prefixes maximize coverage;
-    patterns detecting nothing new are omitted.
+    patterns detecting nothing new are omitted.  Each pick is the pattern
+    detecting the most remaining faults, the lowest index on a tie.
+
+    The per-pattern counts are kept bit-sliced: bit ``i`` of ``planes[k]``
+    is bit ``k`` of pattern ``i``'s count.  A fault's detect vector is
+    added once, and subtracted when a pick covers it; the most detecting
+    patterns are found one plane at a time, from the top.
     """
     grading = fault_coverage(netlist, patterns, faults)
-    remaining = dict(grading.detect_bits)
-    remaining = {f: v for f, v in remaining.items() if v}
+    remaining = [vec for vec in grading.detect_bits.values() if vec]
+    planes: list[int] = []
+    for vec in remaining:
+        k = 0
+        while vec:
+            if k == len(planes):
+                planes.append(vec)
+                break
+            plane = planes[k]
+            planes[k] = plane ^ vec
+            vec &= plane
+            k += 1
     order: list[int] = []
     while remaining:
-        counts: dict[int, int] = {}
-        for vec in remaining.values():
-            while vec:
-                low = vec & -vec
-                idx = low.bit_length() - 1
-                counts[idx] = counts.get(idx, 0) + 1
-                vec ^= low
-        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        top = patterns.mask
+        for plane in reversed(planes):
+            if top & plane:
+                top &= plane
+        best = (top & -top).bit_length() - 1
         order.append(best)
         bit = 1 << best
-        remaining = {f: v for f, v in remaining.items() if not (v & bit)}
+        kept = []
+        for vec in remaining:
+            if not vec & bit:
+                kept.append(vec)
+                continue
+            k = 0
+            while vec:
+                plane = planes[k]
+                planes[k] = plane ^ vec
+                vec &= ~plane
+                k += 1
+        remaining = kept
     return order

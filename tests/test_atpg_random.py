@@ -121,16 +121,28 @@ def test_provisioned_test_sets_are_pinned(name):
     assert _pinned_fields(report) == PINNED_TEST_SETS[name]
 
 
+#: ``generate_stuck_at_tests(seed=7)`` where the top-off runs out of
+#: budget: pattern-set fingerprint, then n_detected, n_untestable,
+#: n_aborted, n_skipped and podem_work.  ``rnd1000`` grades 4,608 faults
+#: over NAND/NOR/XNOR-heavy logic.
+BUDGET_CUTS = {
+    "rnd300": ("05dee23af73acdf4", (909, 5, 111, 387, 3001498)),
+    "rnd1000": ("178e8e1333382eaf", (1582, 0, 40, 2986, 3040445)),
+}
+
+
 @pytest.mark.slow
-def test_work_budget_cut_is_pinned():
-    """``rnd300`` is where the top-off runs out of budget: the cut, and so
-    the whole report, must not depend on the machine."""
-    report = generate_stuck_at_tests(load_circuit("rnd300"), seed=7)
-    assert report.patterns.fingerprint() == "05dee23af73acdf4"
+@pytest.mark.parametrize("name", sorted(BUDGET_CUTS))
+def test_work_budget_cut_is_pinned(name):
+    """The cut, and so the whole report, must not depend on the machine."""
+    report = generate_stuck_at_tests(load_circuit(name), seed=7)
     assert (
-        report.n_detected, report.n_untestable, report.n_aborted,
-        report.n_skipped, report.podem_work,
-    ) == (909, 5, 111, 387, 3001498)
+        report.patterns.fingerprint(),
+        (
+            report.n_detected, report.n_untestable, report.n_aborted,
+            report.n_skipped, report.podem_work,
+        ),
+    ) == BUDGET_CUTS[name]
 
 
 class TestTransitionAtpg:

@@ -1,5 +1,7 @@
 """Single-defect fault simulation services."""
 
+import random
+
 import pytest
 
 from repro.circuit.generators import random_dag, ripple_carry_adder
@@ -14,7 +16,9 @@ from repro.faults.models import (
     TransitionDefect,
     TransitionKind,
 )
+from repro.sim import faultsim
 from repro.sim.faultsim import (
+    FaultCoverageResult,
     defect_output_diff,
     detect_vector,
     effective_pattern_order,
@@ -78,6 +82,11 @@ class TestOverridesAgreeWithFullSim:
         assert overrides is not None
         got = defect_output_diff(dag, dag_patterns, defect, base)
         assert got == _reference_diff(dag, dag_patterns, defect)
+        # One overridden site: graded by critical path tracing.
+        detected = 0
+        for delta in got.values():
+            detected |= delta
+        assert detect_vector(dag, dag_patterns, defect) == detected
 
     def test_backward_bridge_falls_back(self, dag, dag_patterns):
         base = simulate(dag, dag_patterns)
@@ -132,3 +141,45 @@ class TestCompactionOrder:
         faults = [StuckAtDefect(s, v) for s in n.sites()[::4] for v in (0, 1)]
         order = effective_pattern_order(n, pats, faults)
         assert order, "some pattern must detect something"
+
+
+def _recount_order(detect_bits):
+    """The greedy order by recounting every remaining fault's detections
+    for each pick: the reference the incremental counts must match."""
+    remaining = {f: v for f, v in detect_bits.items() if v}
+    order = []
+    while remaining:
+        counts = {}
+        for vec in remaining.values():
+            while vec:
+                low = vec & -vec
+                idx = low.bit_length() - 1
+                counts[idx] = counts.get(idx, 0) + 1
+                vec ^= low
+        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        order.append(best)
+        bit = 1 << best
+        remaining = {f: v for f, v in remaining.items() if not (v & bit)}
+    return order
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_incremental_order_matches_recount(monkeypatch, seed):
+    rng = random.Random(seed)
+    n_patterns = rng.choice((1, 7, 40, 130))
+    pats = PatternSet.random(ripple_carry_adder(2), n_patterns, seed=seed)
+    # Few distinct vectors, each shared by many faults: ties in the counts
+    # at most picks.
+    shapes = [rng.getrandbits(n_patterns) & rng.getrandbits(n_patterns)
+              for _ in range(rng.randint(1, 12))]
+    detect_bits = {
+        StuckAtDefect(Site(f"f{i}"), i % 2): rng.choice(shapes + [0])
+        for i in range(rng.randint(0, 300))
+    }
+    monkeypatch.setattr(
+        faultsim,
+        "fault_coverage",
+        lambda *args: FaultCoverageResult(detect_bits=detect_bits),
+    )
+    order = effective_pattern_order(None, pats, list(detect_bits))
+    assert order == _recount_order(detect_bits)

@@ -218,8 +218,22 @@ class TestDeterminism:
 
     def test_pool_is_deterministic(self, rca6, pats):
         pt = _analysis(rca6, pats, DEFECT_SETS[2])
-        failing = list(pt.datalog.failing_indices)
-        assert conflict_pool(pt, failing) == conflict_pool(pt, failing)
+        pool = conflict_pool(pt)
+        assert pool == conflict_pool(pt)
+        # The ranking the pool had when it counted only the atoms of a
+        # given failing subset, here every failing pattern.
+        failing = set(pt.datalog.failing_indices)
+        cones = [
+            rca6.fanin_cone(pt.datalog.failing_outputs_of(idx)) for idx in failing
+        ]
+        reference = sorted(
+            (s for s in pt.sites if any(s.net in cone for cone in cones)),
+            key=lambda s: (
+                -sum(1 for idx, _out in pt.atoms_of(s) if idx in failing),
+                str(s),
+            ),
+        )
+        assert pool == reference
 
 
 class TestEngineThreading:

@@ -183,3 +183,86 @@ def test_incremental_implication_matches_full_simulation(seed):
             engine._search(None, goal=(net, value))
     assert backtracks > 0
     assert engine.checks > 2 * len(sites)
+
+
+# -- cone-bounded scans against full-netlist scans -----------------------------
+
+
+class _ConeCheckedPodem(Podem):
+    """Compares the cone-bounded D-frontier and X-path check with the
+    full-netlist scans they replaced, kept here as references, at every
+    decision and backtrack."""
+
+    def __init__(self, *args, **kwargs):
+        self.checks = 0
+        super().__init__(*args, **kwargs)
+
+    def _start(self, fault):
+        super()._start(fault)
+        self.fault = fault
+
+    def _imply(self, pi, value):
+        super()._imply(pi, value)
+        self._check()
+
+    def _undo(self):
+        super()._undo()
+        self._check()
+
+    def _check(self) -> None:
+        if self.fault is None:
+            return
+        good, faulty = self._good, self._faulty
+        assert self._d_frontier(good, faulty, self.fault) == self._full_d_frontier(
+            good, faulty, self.fault
+        )
+        assert self._x_path_exists(good, faulty) == self._full_x_path_exists(good, faulty)
+        self.checks += 1
+
+    def _full_d_frontier(self, good, faulty, fault):
+        frontier = []
+        for net in self.netlist.topo_order:
+            if good[net] != X and faulty[net] != X:
+                continue
+            gate = self.netlist.gates[net]
+            if any(self._error(good, faulty, src) for src in gate.inputs):
+                frontier.append(net)
+        if fault.site.branch is not None:
+            gate_out = fault.site.branch[0]
+            activated = good[fault.site.net] == fault.value ^ 1
+            undecided = good[gate_out] == X or faulty[gate_out] == X
+            if activated and undecided and gate_out not in frontier:
+                frontier.insert(0, gate_out)
+        return frontier
+
+    def _full_x_path_exists(self, good, faulty):
+        nets = list(self.netlist.nets())
+        if not any(self._error(good, faulty, net) for net in nets):
+            return True
+        alive = {
+            net
+            for net in nets
+            if self._error(good, faulty, net) or faulty[net] == X or good[net] == X
+        }
+        return any(
+            out in alive and self._reaches_error_backward(out, alive, good, faulty)
+            for out in self.netlist.outputs
+        )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cone_bounded_scans_match_full_scans(seed):
+    netlist = _mixed_dag(seed)
+    engine = _ConeCheckedPodem(netlist, max_backtracks=8, seed=seed)
+    plain = Podem(netlist, max_backtracks=8, seed=seed)
+    sites = netlist.sites()
+    assert any(site.branch for site in sites)
+    backtracks = 0
+    for site in sites:
+        for value in (0, 1):
+            fault = StuckAtDefect(site, value)
+            checked = engine.generate(fault)
+            assert checked == plain.generate(fault)
+            backtracks += checked.backtracks
+    assert backtracks > 0
+    assert engine.checks > 2 * len(sites)
