@@ -41,7 +41,7 @@ from repro.core.oracle import concrete_defects, validate_report
 from repro.core.pertest import PerTestAnalysis, build_pertest
 from repro.core.refine import RefineConfig, allocate_hypotheses, arbitrary_hypothesis
 from repro.core.report import Candidate, DiagnosisReport, Hypothesis, Multiplet
-from repro.core.scoring import multiplet_iou
+from repro.core.scoring import MatchCounter, multiplet_iou
 from repro.core.xcover import build_xcover
 from repro.errors import DiagnosisError
 from repro.obs.metrics import record_diagnosis, record_sim_delta, record_truncations
@@ -273,6 +273,7 @@ class Diagnoser:
                 reported_sets = multiplet_sets[: cfg.max_reported_multiplets]
 
                 core_sites = {site for group in multiplet_sets for site in group}
+                counter = MatchCounter.of_datalog(datalog)
                 candidates = []
                 refined_out = False
                 for done, site in enumerate(all_sites):
@@ -305,6 +306,7 @@ class Diagnoser:
                         evidence,
                         cfg.refine,
                         budget=budget,
+                        counter=counter,
                     )
                     if (
                         cfg.drop_unmodeled_extras
@@ -362,6 +364,7 @@ class Diagnoser:
                             hypothesis_by_site,
                             patterns,
                             base_values,
+                            counter,
                             skip_iou=scored_out,
                         )
                     )
@@ -582,6 +585,7 @@ class Diagnoser:
         hypothesis_by_site: dict[Site, tuple[Hypothesis, ...]],
         patterns: PatternSet,
         base_values: dict[str, int],
+        counter: MatchCounter,
         skip_iou: bool = False,
     ) -> Multiplet:
         if isinstance(evidence, PerTestAnalysis):
@@ -601,7 +605,7 @@ class Diagnoser:
         )
         if defects is not None:
             joint = multiplet_iou(
-                self.netlist, patterns, defects, evidence.atoms, base_values
+                self.netlist, patterns, defects, counter, base_values
             )
             if joint is not None:
                 iou = joint

@@ -35,10 +35,9 @@ from repro.core.report import (
     Hypothesis,
     Validation,
 )
-from repro.core.scoring import diff_to_atoms, match_counts, predicted_atoms
+from repro.core.scoring import MatchCounter, multiplet_diff
 from repro.core.xcover import Atom
 from repro.errors import DiagnosisError, OscillationError
-from repro.faults.injection import FaultyCircuit
 from repro.faults.models import (
     BridgeDefect,
     Defect,
@@ -49,6 +48,7 @@ from repro.faults.models import (
 )
 from repro.obs.trace import trace_span
 from repro.sim.cache import sim_context
+from repro.sim.faultsim import defect_output_diff
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
@@ -176,6 +176,7 @@ def _validate_report(
     base_values: Mapping[str, int] | None = None,
 ) -> DiagnosisReport:
     observed, failing, n_observed, x_atoms = _raw_evidence(raw)
+    counter = MatchCounter(observed, failing, n_observed, x_atoms)
     if base_values is None:
         base_values = sim_context(netlist, patterns).base
 
@@ -188,15 +189,13 @@ def _validate_report(
             validation = Validation(verdict="plausible")
         else:
             try:
-                predicted = predicted_atoms(
+                diff = defect_output_diff(
                     netlist, patterns, hypothesis_to_defect(best), base_values
                 )
             except OscillationError:
                 validation = Validation(verdict="plausible", kind=best.kind)
             else:
-                hits, misses, fa = match_counts(
-                    predicted, observed, failing, n_observed, x_atoms
-                )
+                hits, misses, fa = counter.counts(diff)
                 validation = Validation(
                     verdict=_verdict(hits, misses, fa, bool(observed)),
                     kind=best.kind,
@@ -229,33 +228,22 @@ def _validate_report(
             if best_multiplet is not None
             else None
         )
-        if defects:
-            try:
-                faulty = FaultyCircuit(netlist, defects).simulate_outputs(
-                    patterns
-                )
-            except OscillationError:
-                faulty = None
-            if faulty is not None:
-                mask = patterns.mask
-                diff = {
-                    out: (faulty[out] ^ base_values[out]) & mask
-                    for out in netlist.outputs
-                    if (faulty[out] ^ base_values[out]) & mask
-                }
-                predicted = diff_to_atoms(diff)
-                hits, misses, fa = match_counts(
-                    predicted, observed, failing, n_observed, x_atoms
-                )
-                stats["oracle_explained"] = float(hits)
-                stats["oracle_misexplained"] = float(fa)
-                stats["oracle_unexplained"] = float(misses)
-                if hits == 0:
-                    consistency = CONSISTENCY_REFUTED
-                elif misses == 0 and fa == 0:
-                    consistency = CONSISTENCY_CONFIRMED
-                else:
-                    consistency = CONSISTENCY_PARTIAL
+        diff = (
+            multiplet_diff(netlist, patterns, defects, base_values)
+            if defects
+            else None
+        )
+        if diff is not None:
+            hits, misses, fa = counter.counts(diff)
+            stats["oracle_explained"] = float(hits)
+            stats["oracle_misexplained"] = float(fa)
+            stats["oracle_unexplained"] = float(misses)
+            if hits == 0:
+                consistency = CONSISTENCY_REFUTED
+            elif misses == 0 and fa == 0:
+                consistency = CONSISTENCY_CONFIRMED
+            else:
+                consistency = CONSISTENCY_PARTIAL
 
     return replace(
         report,

@@ -19,7 +19,7 @@ from typing import Mapping
 from repro.circuit.netlist import Netlist, Site
 from repro.core.budget import Budget
 from repro.core.report import Hypothesis
-from repro.core.scoring import match_counts, predicted_atoms
+from repro.core.scoring import MatchCounter
 from repro.core.xcover import XCoverAnalysis
 from repro.errors import OscillationError
 from repro.faults.models import (
@@ -29,6 +29,7 @@ from repro.faults.models import (
     TransitionDefect,
     TransitionKind,
 )
+from repro.sim.faultsim import defect_output_diff
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
@@ -65,8 +66,13 @@ def allocate_hypotheses(
     xc: XCoverAnalysis,
     config: RefineConfig | None = None,
     budget: Budget | None = None,
+    counter: MatchCounter | None = None,
 ) -> tuple[Hypothesis, ...]:
     """Ranked fault-model hypotheses for one candidate site.
+
+    Each model's response is scored by ``counter``, the datalog's
+    :class:`~repro.core.scoring.MatchCounter` (built here when not given;
+    a caller refining many sites builds it once).
 
     Under a ``budget`` every concrete-model simulation charges one
     expansion and is preceded by a check (after the first, so a site is
@@ -76,8 +82,8 @@ def allocate_hypotheses(
     ``refine`` truncation.
     """
     config = config or RefineConfig()
-    observed = xc.atoms
-    failing = datalog.failing_indices
+    if counter is None:
+        counter = MatchCounter.of_datalog(datalog)
 
     hypotheses: list[Hypothesis] = []
     attempts = 0
@@ -93,12 +99,10 @@ def allocate_hypotheses(
         if budget is not None:
             budget.charge()
         try:
-            predicted = predicted_atoms(netlist, patterns, defect, base_values)
+            diff = defect_output_diff(netlist, patterns, defect, base_values)
         except OscillationError:
             return
-        hits, misses, fa = match_counts(
-            predicted, observed, failing, datalog.n_observed, datalog.x_atoms
-        )
+        hits, misses, fa = counter.counts(diff)
         if hits == 0:
             return
         if config.vindicate and fa > 0:

@@ -8,6 +8,14 @@ atoms -- (pattern, output) pairs:
 - ``misses``: observed atoms it does not reproduce,
 - ``false_alarms``: failures predicted on patterns the tester saw passing.
 
+A :class:`MatchCounter` holds one die's evidence as per-output bit vectors
+and scores a simulated response -- per-output delta vectors, as
+:func:`~repro.sim.faultsim.defect_output_diff` returns them -- with a few
+ANDs and popcounts, never expanding it into atoms.  Refinement, the
+validation oracle and the single-fault baseline score through it;
+:func:`match_counts` and :func:`atoms_iou` are the same counts over atom
+sets, for the dictionary baseline, whose stored signatures are atom sets.
+
 Vindication is the classic effect-cause step of using *passing* patterns
 as exculpatory evidence: a deterministic, always-active model (stuck-at,
 open, dominant bridge, gross delay) that predicts a failure on an observed
@@ -30,6 +38,7 @@ from repro.faults.injection import FaultyCircuit
 from repro.faults.models import Defect
 from repro.sim.faultsim import defect_output_diff
 from repro.sim.patterns import PatternSet
+from repro.tester.datalog import Datalog
 
 
 def diff_to_atoms(diff: Mapping[str, int]) -> frozenset[Atom]:
@@ -42,17 +51,6 @@ def diff_to_atoms(diff: Mapping[str, int]) -> frozenset[Atom]:
             atoms.add((low.bit_length() - 1, out))
             v ^= low
     return frozenset(atoms)
-
-
-def predicted_atoms(
-    netlist: Netlist,
-    patterns: PatternSet,
-    defect: Defect,
-    base_values: Mapping[str, int],
-) -> frozenset[Atom]:
-    """Fail atoms the single ``defect`` would produce on this test set."""
-    diff = defect_output_diff(netlist, patterns, defect, base_values)
-    return diff_to_atoms(diff)
 
 
 def match_counts(
@@ -94,25 +92,116 @@ def atoms_iou(predicted: frozenset[Atom], observed: frozenset[Atom]) -> float:
     return len(predicted & observed) / len(union)
 
 
-def multiplet_iou(
+class MatchCounter:
+    """:func:`match_counts` and :func:`atoms_iou` of per-output responses
+    against one fixed body of evidence, as bit vectors.
+
+    Built once from the inputs :func:`match_counts` takes: the observed
+    atoms become one vector of patterns per output, the observed passing
+    patterns (inside the ``n_observed`` window and outside
+    ``failing_indices``) one mask, and the ``x_atoms`` are cleared from
+    that mask output by output.  A response then costs an AND and a
+    popcount per output it flips.  The counts are the same integers as
+    over atom sets.
+    """
+
+    __slots__ = ("n_atoms", "_observed", "_alarms", "_passing")
+
+    def __init__(
+        self,
+        observed: Iterable[Atom],
+        failing_indices: Iterable[int],
+        n_observed: int | None = None,
+        x_atoms: Iterable[Atom] = frozenset(),
+    ):
+        vectors: dict[str, int] = {}
+        for idx, out in observed:
+            vectors[out] = vectors.get(out, 0) | 1 << idx
+        # -1 is every pattern: an untruncated log observes them all.
+        passing = -1 if n_observed is None else (1 << max(n_observed, 0)) - 1
+        for idx in failing_indices:
+            passing &= ~(1 << idx)
+        alarms = {out: passing & ~vec for out, vec in vectors.items()}
+        for idx, out in x_atoms:
+            alarms[out] = alarms.get(out, passing) & ~(1 << idx)
+        self.n_atoms = sum(bin(vec).count("1") for vec in vectors.values())
+        self._observed = vectors
+        self._alarms = alarms
+        self._passing = passing
+
+    @classmethod
+    def of_datalog(cls, datalog: Datalog) -> "MatchCounter":
+        """The counter of a datalog's own evidence: its fail atoms,
+        failing patterns, observed window and X tier."""
+        return cls(
+            datalog.fail_atoms(),
+            datalog.failing_indices,
+            datalog.n_observed,
+            datalog.x_atoms,
+        )
+
+    def counts(self, diff: Mapping[str, int]) -> tuple[int, int, int]:
+        """(hits, misses, false_alarms) of the response ``diff``."""
+        observed = self._observed
+        alarms = self._alarms
+        passing = self._passing
+        hits = false_alarms = 0
+        for out, vec in diff.items():
+            hits += bin(vec & observed.get(out, 0)).count("1")
+            false_alarms += bin(vec & alarms.get(out, passing)).count("1")
+        return hits, self.n_atoms - hits, false_alarms
+
+    def iou(self, diff: Mapping[str, int]) -> float:
+        """Intersection over union of the response ``diff`` and the
+        observed atoms (1.0 when both are empty)."""
+        observed = self._observed
+        hits = predicted = 0
+        for out, vec in diff.items():
+            predicted += bin(vec).count("1")
+            hits += bin(vec & observed.get(out, 0)).count("1")
+        union = predicted + self.n_atoms - hits
+        return hits / union if union else 1.0
+
+
+def multiplet_diff(
     netlist: Netlist,
     patterns: PatternSet,
     defects: Iterable[Defect],
-    observed: frozenset[Atom],
     base_values: Mapping[str, int],
-) -> float | None:
-    """Joint-simulation IoU of a concrete multiplet, or None if unsimulable."""
+) -> dict[str, int] | None:
+    """Per-output response of a concrete multiplet injected jointly, or
+    None if it is empty or unsimulable.
+
+    One defect is read through :func:`~repro.sim.faultsim.defect_output_diff`
+    (so a single-site model costs no resim on the shared context); two or
+    more take the :class:`~repro.faults.injection.FaultyCircuit` fixpoint.
+    """
     defects = list(defects)
     if not defects:
         return None
     try:
+        if len(defects) == 1:
+            return defect_output_diff(netlist, patterns, defects[0], base_values)
         faulty = FaultyCircuit(netlist, defects).simulate_outputs(patterns)
     except OscillationError:
         return None
     mask = patterns.mask
-    diff = {
-        out: (faulty[out] ^ base_values[out]) & mask
-        for out in netlist.outputs
-        if (faulty[out] ^ base_values[out]) & mask
-    }
-    return atoms_iou(diff_to_atoms(diff), observed)
+    diff: dict[str, int] = {}
+    for out in netlist.outputs:
+        delta = (faulty[out] ^ base_values[out]) & mask
+        if delta:
+            diff[out] = delta
+    return diff
+
+
+def multiplet_iou(
+    netlist: Netlist,
+    patterns: PatternSet,
+    defects: Iterable[Defect],
+    counter: MatchCounter,
+    base_values: Mapping[str, int],
+) -> float | None:
+    """Joint-simulation IoU of a concrete multiplet against ``counter``'s
+    evidence, or None if unsimulable."""
+    diff = multiplet_diff(netlist, patterns, defects, base_values)
+    return None if diff is None else counter.iou(diff)

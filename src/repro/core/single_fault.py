@@ -16,10 +16,11 @@ import time
 from repro.circuit.netlist import Netlist
 from repro.core.backtrace import candidate_sites
 from repro.core.report import Candidate, DiagnosisReport, Hypothesis, Multiplet
-from repro.core.scoring import atoms_iou, match_counts, predicted_atoms
+from repro.core.scoring import MatchCounter, diff_to_atoms
 from repro.errors import DiagnosisError
 from repro.faults.models import StuckAtDefect
 from repro.sim.cache import sim_context
+from repro.sim.faultsim import defect_output_diff
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
@@ -42,19 +43,18 @@ def diagnose_single_fault(
 
     base_values = sim_context(netlist, patterns).base
     observed = frozenset(datalog.fail_atoms())
-    failing = datalog.failing_indices
+    counter = MatchCounter.of_datalog(datalog)
 
     scored: list[tuple[float, Hypothesis]] = []
     for site in candidate_sites(netlist, datalog, include_branches):
         for value in (0, 1):
-            fault = StuckAtDefect(site, value)
-            predicted = predicted_atoms(netlist, patterns, fault, base_values)
-            if not predicted & observed:
-                continue
-            hits, misses, fa = match_counts(
-                predicted, observed, failing, datalog.n_observed, datalog.x_atoms
+            diff = defect_output_diff(
+                netlist, patterns, StuckAtDefect(site, value), base_values
             )
-            iou = atoms_iou(predicted, observed)
+            hits, misses, fa = counter.counts(diff)
+            if not hits:
+                continue
+            iou = counter.iou(diff)
             scored.append(
                 (
                     iou,
@@ -101,13 +101,13 @@ def diagnose_single_fault(
         # best candidate as uncovered evidence.
         best = max(multiplets, key=lambda m: m.covered_atoms)
         best_h = next(h for h in kept if h.site == best.sites[0])
-        predicted = predicted_atoms(
+        diff = defect_output_diff(
             netlist,
             patterns,
             StuckAtDefect(best_h.site, int(best_h.kind[-1])),
             base_values,
         )
-        uncovered = observed - predicted
+        uncovered = observed - diff_to_atoms(diff)
     return DiagnosisReport(
         method=METHOD_NAME,
         circuit=netlist.name,

@@ -45,6 +45,7 @@ import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Callable
 
 from repro import chaos
 from repro.errors import BindError, JournalError, ServeError, TrialError
@@ -177,13 +178,20 @@ class DiagnosisDaemon(ExecutorCallbacks):
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> int:
-        """Open the store, replay, re-enqueue; returns #jobs recovered."""
+    def start(self, stop: Callable[[], bool] | None = None) -> int:
+        """Open the store, replay, re-enqueue; returns #jobs recovered.
+
+        ``stop()`` is asked once the replay is done: when it answers true
+        no worker starts and nothing is enqueued, so every replayed job
+        stays pending for the next start.
+        """
         recovered = self.store.open()
+        record_recovery(len(recovered))
+        if stop is not None and stop():
+            return len(recovered)
         self.executor.start()
         for job in recovered:
             self._enqueue(job)
-        record_recovery(len(recovered))
         self._started = True
         self._update_gauges()
         return len(recovered)
@@ -617,7 +625,7 @@ def serve(
         signal.signal(signal.SIGINT, _on_int)
 
     daemon = DiagnosisDaemon(config, run=run)
-    recovered = daemon.start()  # JournalError here when the store is locked
+    recovered = daemon.start(stop.is_set)  # JournalError when the store is locked
     if stop.is_set():
         print(
             "repro serve: stop requested during recovery; draining without "

@@ -20,7 +20,10 @@ once and memoizes:
   complements its fanout-free region's root, and per root, those under
   which complementing the root changes some output, so any site's
   critical patterns cost gate-local evaluations plus at most one cone
-  pass per region root, not one per query (:meth:`SimContext.critical`),
+  pass per region root, not one per query (:meth:`SimContext.critical`);
+  the same path ANDed into the root's flip signature output by output is
+  the site's per-output response (:meth:`SimContext.critical_diff`),
+  which answers every single-site fault model without a resim of its own,
 - the flip index: the flip signatures transposed pattern-major, one
   bitset over site ids per ``(pattern, output)`` strobe, so a die's
   per-test question -- which candidates' lone flip reproduces exactly
@@ -233,6 +236,42 @@ class SimContext:
         it is asked about.  A single-site override's detections are
         ``critical(site, override ^ base)``.
         """
+        root, path = self._path(site, care)
+        if not path:
+            return 0
+        observed = self._observed.get(root)
+        if observed is None:
+            observed = 0
+            for delta in self.flip_signature(self.netlist.stem_site(root)).values():
+                observed |= delta
+            self._observed[root] = observed
+        return path & observed
+
+    def critical_diff(self, site: Site, care: int | None = None) -> dict[str, int]:
+        """Per-output delta vectors of complementing ``site``, restricted
+        to ``care`` when given.
+
+        The per-output counterpart of :meth:`critical`: inside the site's
+        fanout-free region only the root's flip reaches the outputs, so
+        the site's response is the root's :meth:`flip_signature` masked to
+        the patterns under which the path to the root is sensitized.  A
+        single-site override's response is ``critical_diff(site, override
+        ^ base)``, exact for two-valued base values and equal to a cone
+        resim of the override output by output.  Costs no cone pass once
+        the root has been flipped.  The returned dict is the caller's.
+        """
+        root, path = self._path(site, care)
+        diff: dict[str, int] = {}
+        if path:
+            for out, delta in self.flip_signature(self.netlist.stem_site(root)).items():
+                delta &= path
+                if delta:
+                    diff[out] = delta
+        return diff
+
+    def _path(self, site: Site, care: int | None) -> tuple[str, int]:
+        """The root of ``site``'s fanout-free region, and the patterns of
+        ``care`` under which complementing the site complements the root."""
         netlist = self.netlist
         netlist.validate_site(site)
         branch = site.branch
@@ -246,16 +285,7 @@ class SimContext:
                 path &= self._sensitized(net)
         if care is not None:
             path &= care
-        if not path:
-            return 0
-        root = netlist.ffr_root(net)
-        observed = self._observed.get(root)
-        if observed is None:
-            observed = 0
-            for delta in self.flip_signature(netlist.stem_site(root)).values():
-                observed |= delta
-            self._observed[root] = observed
-        return path & observed
+        return netlist.ffr_root(net), path
 
     def _sensitized(self, net: str) -> int:
         """Patterns under which complementing ``net`` complements its

@@ -7,12 +7,14 @@ Used by ATPG (coverage grading, fault dropping), the SLAT baseline
 The fast path expresses a defect as a set of *site overrides* computed from
 fault-free values -- valid whenever the defect's behavior does not depend
 on nets inside its own fanout cone -- and resimulates only the overridden
-cone.  Grading a one-site override needs no resimulation of its own: its
-detections are the site's critical patterns on the shared context, where
-they differ from the fault-free value.  Context-dependent cases (e.g. a
-bridge whose aggressor is disturbed by the victim) transparently fall back
-to the full :class:`~repro.faults.injection.FaultyCircuit` fixpoint
-simulation.
+cone.  A one-site override (stuck-at, open, transition, byzantine, a
+dominant bridge outside its victim's cone) needs no resimulation of its
+own on the shared context: critical path tracing answers it from its
+fanout-free region root's flip, both its detections (the site's critical
+patterns where the override differs from the fault-free value) and its
+per-output response.  Context-dependent cases (e.g. a bridge whose
+aggressor is disturbed by the victim) transparently fall back to the full
+:class:`~repro.faults.injection.FaultyCircuit` fixpoint simulation.
 """
 
 from __future__ import annotations
@@ -81,6 +83,16 @@ def single_defect_overrides(
     return None
 
 
+def _lone_override(
+    netlist: Netlist, overrides: Mapping[Site, int], base_values: Mapping[str, int]
+) -> tuple[Site, int]:
+    """The site of a one-site override, and the patterns where the
+    override differs from the site's fault-free value."""
+    ((site, value),) = overrides.items()
+    netlist.validate_site(site)  # before reading its base value
+    return site, value ^ base_values[site.net]
+
+
 def defect_output_diff(
     netlist: Netlist,
     patterns: PatternSet,
@@ -89,7 +101,11 @@ def defect_output_diff(
 ) -> dict[str, int]:
     """Per-output bit vectors of patterns where the defect flips the output.
 
-    Only outputs with at least one differing pattern appear.
+    Only outputs with at least one differing pattern appear.  A defect
+    overriding a single site is answered on the shared context, when it
+    serves ``base_values``, by critical path tracing
+    (:meth:`SimContext.critical_diff
+    <repro.sim.cache.SimContext.critical_diff>`).
     """
     if base_values is None:
         base_values = sim_context(netlist, patterns).base
@@ -97,9 +113,11 @@ def defect_output_diff(
     overrides = single_defect_overrides(netlist, patterns, defect, base_values)
     if overrides is not None:
         ctx = active_context(netlist, patterns, base_values)
-        if ctx is not None:
-            return dict(ctx.resim_diff(overrides))
-        return resim_output_diff(netlist, base_values, overrides, mask)
+        if ctx is None:
+            return resim_output_diff(netlist, base_values, overrides, mask)
+        if len(overrides) == 1:
+            return ctx.critical_diff(*_lone_override(netlist, overrides, base_values))
+        return dict(ctx.resim_diff(overrides))
     faulty = FaultyCircuit(netlist, [defect]).simulate_outputs(patterns)
     diff: dict[str, int] = {}
     for net in netlist.outputs:
@@ -129,9 +147,7 @@ def detect_vector(
     if overrides is not None and len(overrides) == 1:
         ctx = active_context(netlist, patterns, base_values)
         if ctx is not None:
-            ((site, value),) = overrides.items()
-            netlist.validate_site(site)  # before reading its base value
-            return ctx.critical(site, value ^ base_values[site.net])
+            return ctx.critical(*_lone_override(netlist, overrides, base_values))
     vec = 0
     for delta in defect_output_diff(netlist, patterns, defect, base_values).values():
         vec |= delta

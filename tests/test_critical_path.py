@@ -1,6 +1,6 @@
-"""Critical path tracing on the shared context (``SimContext.critical``)
-against direct resimulation, and the provisioning flow that grades through
-it."""
+"""Critical path tracing on the shared context (``SimContext.critical``
+and ``SimContext.critical_diff``) against direct resimulation, and the
+provisioning flow that grades through it."""
 
 import random
 import sys
@@ -14,6 +14,7 @@ from repro.circuit.builder import NetlistBuilder
 from repro.circuit.library import load_circuit
 from repro.circuit.netlist import Site
 from repro.faults.models import (
+    BridgeDefect,
     ByzantineDefect,
     StuckAtDefect,
     TransitionDefect,
@@ -22,7 +23,11 @@ from repro.faults.models import (
 from repro.sim.cache import reset_sim_caches, sim_context
 from repro.sim.compile import COUNTERS, kernels_for
 from repro.sim.event import resim_output_diff
-from repro.sim.faultsim import detect_vector, single_defect_overrides
+from repro.sim.faultsim import (
+    defect_output_diff,
+    detect_vector,
+    single_defect_overrides,
+)
 from repro.sim.patterns import PatternSet
 
 from tests.test_properties import SLOW, circuits
@@ -36,31 +41,48 @@ def _every_site(netlist):
     ]
 
 
+def _single_site_defects(netlist, site, rng):
+    """Stuck-at 0/1, a transition and a byzantine defect at ``site``, and
+    at a stem a dominant bridge from an aggressor outside its cone."""
+    defects = [
+        StuckAtDefect(site, 0),
+        StuckAtDefect(site, 1),
+        TransitionDefect(site, rng.choice(list(TransitionKind))),
+        ByzantineDefect(site, seed=rng.getrandbits(32), activity=0.5),
+    ]
+    if site.is_stem:
+        cone = netlist.fanout_cone([site.net])
+        outside = [net for net in netlist.nets() if net not in cone]
+        if outside:
+            defects.append(BridgeDefect(site.net, rng.choice(outside)))
+    return defects
+
+
 def _check_against_resim(netlist, patterns, seed):
-    """Stuck-at 0/1, a transition and a byzantine override at every site:
-    the query masked by the override equals the OR over the outputs of a
-    direct cone resimulation, and ``detect_vector`` answers the same."""
+    """Every single-site override of :func:`_single_site_defects` at every
+    site: the query masked by the override equals the OR over the outputs
+    of a direct cone resimulation, ``detect_vector`` answers the same, and
+    ``defect_output_diff`` equals the resimulation output by output."""
     reset_sim_caches()
     ctx = sim_context(netlist, patterns)
     base, mask = ctx.base, patterns.mask
     rng = random.Random(seed)
     for site in _every_site(netlist):
         critical = ctx.critical(site)
-        defects = (
-            StuckAtDefect(site, 0),
-            StuckAtDefect(site, 1),
-            TransitionDefect(site, rng.choice(list(TransitionKind))),
-            ByzantineDefect(site, seed=rng.getrandbits(32), activity=0.5),
-        )
-        for defect in defects:
+        for defect in _single_site_defects(netlist, site, rng):
             overrides = single_defect_overrides(netlist, patterns, defect, base)
-            active = overrides[site] ^ base[site.net]
+            ((target, value),) = overrides.items()
+            assert target == site, str(defect)
+            active = value ^ base[site.net]
+            resim = resim_output_diff(netlist, base, overrides, mask)
             want = 0
-            for delta in resim_output_diff(netlist, base, overrides, mask).values():
+            for delta in resim.values():
                 want |= delta
             assert critical & active == want, str(defect)
             assert ctx.critical(site, active) == want, str(defect)
             assert detect_vector(netlist, patterns, defect) == want, str(defect)
+            assert defect_output_diff(netlist, patterns, defect) == resim, str(defect)
+            assert ctx.critical_diff(site, active) == resim, str(defect)
 
 
 @pytest.mark.parametrize(
@@ -105,6 +127,27 @@ def test_structural_edge_cases():
     assert ctx.critical(Site("n1", ("x", 0))) != ctx.critical(Site("n1"))
 
 
+def test_flipped_roots_answer_every_single_site_model():
+    """Once every region root of a context has been flipped, the
+    per-output response of every single-site model at every site costs
+    no cone pass."""
+    netlist = load_circuit("alu16")
+    patterns = PatternSet.random(netlist, 48, seed=3)
+    reset_sim_caches()
+    ctx = sim_context(netlist, patterns)
+    for root in {netlist.ffr_root(net) for net in netlist.nets()}:
+        ctx.flip_signature(netlist.stem_site(root))
+    rng = random.Random(3)
+    before = COUNTERS.cone_passes
+    answered = 0
+    for site in _every_site(netlist):
+        for defect in _single_site_defects(netlist, site, rng):
+            defect_output_diff(netlist, patterns, defect)
+            answered += 1
+    assert answered > 1500
+    assert COUNTERS.cone_passes == before
+
+
 def test_provisioning_flips_each_root_once_per_graded_set():
     """Grading costs at most one cone pass per (graded pattern set, region
     root), not one per fault."""
@@ -139,14 +182,18 @@ def test_threads_share_one_cold_context():
     sites = _every_site(netlist)
     reset_sim_caches()
     ctx = sim_context(netlist, patterns)
-    serial = [ctx.critical(site) for site in sites]
-    results: dict[int, list[int]] = {}
+
+    def ask(ctx, site):
+        return ctx.critical(site), ctx.critical_diff(site)
+
+    serial = [ask(ctx, site) for site in sites]
+    results: dict[int, list[tuple[int, dict[str, int]]]] = {}
 
     def work(i):
         ctx = sim_context(netlist, patterns)
         order = list(range(len(sites)))
         random.Random(i).shuffle(order)
-        got = {j: ctx.critical(sites[j]) for j in order}
+        got = {j: ask(ctx, sites[j]) for j in order}
         results[i] = [got[j] for j in range(len(sites))]
 
     interval = sys.getswitchinterval()

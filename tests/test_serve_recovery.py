@@ -284,11 +284,11 @@ class TestSignalOrderings:
         assert "stop requested during recovery" in out
         assert "listening on" not in out
 
-        # Nothing was lost: a normal restart recovers the still-pending
-        # jobs (workers may have finished a few in the instants between
-        # replay and the drain) and every job reaches done.
+        # Nothing was lost and nothing ran: the stop landed before any
+        # replayed job was enqueued, so a normal restart recovers all 8
+        # and every job reaches done.
         revived = spawn(store=store_path).wait_ready()
-        assert 1 <= revived.recovered <= 8
+        assert revived.recovered == 8
         status, raw = revived.request("GET", "/jobs")
         jobs = json.loads(raw)["jobs"]
         assert len(jobs) == 8
