@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro._bits import popcount
 from repro._rng import make_rng
 from repro.atpg.podem import Podem
 from repro.atpg.random_gen import generate_stuck_at_tests
@@ -53,7 +54,7 @@ class NDetectReport:
 def _detection_counts(netlist, patterns, faults):
     grading = fault_coverage(netlist, patterns, faults)
     return {
-        fault: bin(grading.detect_bits.get(fault, 0)).count("1")
+        fault: popcount(grading.detect_bits.get(fault, 0))
         for fault in faults
     }
 

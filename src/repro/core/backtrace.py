@@ -39,17 +39,24 @@ def candidate_sites(
 
     The union, over failing patterns, of the fan-in cones of that
     pattern's failing outputs; branch sites are included when the reading
-    gate lies inside the envelope.  Deterministically ordered by
-    topological position, and made of the netlist's own Site objects
-    (:meth:`~repro.circuit.netlist.Netlist.stem_site`), so the per-site
-    memos of every later stage hit on identity.
+    gate lies inside the envelope.  Deterministically ordered by site id
+    (:attr:`~repro.circuit.netlist.Netlist.site_ids`: stems in
+    topological position, then branches), and made of the netlist's own
+    Site objects, so the per-site memos of every later stage hit on
+    identity.
+
+    The envelope is built as a bitset over the site ids, one OR of the
+    netlist's memoized :meth:`~repro.circuit.netlist.Netlist.fanin_sites`
+    per failing output, and returned as a
+    :class:`~repro.circuit.netlist.SiteList` that carries the bitset, so
+    per-test analysis reads the envelope without a pass over its sites.
 
     Under a ``budget`` the cone union is checked per failing record (after
     the first, so the envelope is never empty for a failing device); on
     exhaustion the envelope built so far is returned with a ``backtrace``
     truncation recorded -- a sound but incomplete candidate space.
     """
-    nets: set[str] = set()
+    envelope = 0
     for done, record in enumerate(datalog.records):
         if (
             budget is not None
@@ -57,15 +64,11 @@ def candidate_sites(
             and budget.stop("backtrace", done, len(datalog.records))
         ):
             break
-        nets |= netlist.fanin_cone(record.failing_outputs)
-    ordered = [net for net in netlist.nets() if net in nets]
-    sites = [netlist.stem_site(net) for net in ordered]
-    if include_branches:
-        for net in ordered:
-            sites.extend(
-                site for site in netlist.branch_sites(net) if site.branch[0] in nets
-            )
-    return sites
+        for out in record.failing_outputs:
+            envelope |= netlist.fanin_sites(out)
+    if not include_branches:
+        envelope &= (1 << netlist.n_nets) - 1  # the stems' ids
+    return netlist.sites_of(envelope)
 
 
 def flip_criticality(

@@ -316,14 +316,13 @@ def greedy_pertest_cover(
         ):
             exhausted = True
             break
-        gains: dict[Site, int] = {}
-        for idx in failing - explained:
-            for site in analysis.exact_singletons.get(idx, ()):
-                if site not in chosen:
-                    gains[site] = gains.get(site, 0) + 1
-        if not gains:
+        # A chosen site's patterns are all explained (explainability is
+        # monotone in the multiplet), so it gains nothing here.
+        best = analysis.evidence.best_explainer(
+            sum(1 << idx for idx in failing - explained)
+        )
+        if best is None:
             break
-        best = min(gains, key=lambda s: (-gains[s], str(s)))
         chosen.append(best)
         if budget is not None:
             budget.charge()
@@ -410,13 +409,10 @@ def enumerate_pertest_min_covers(
     # then the remaining seeds (pair-rescue participants), then best partials.
     # ``pooled`` mirrors ``pool`` for membership tests; the list keeps the
     # order, and any duplicate among the leading seeds.
+    evidence = analysis.evidence
     pool: list[Site] = list(seed_sites[: max(1, max_candidates // 3)])
     pooled = set(pool)
-    singleton_sites: dict[Site, int] = {}
-    for sites in analysis.exact_singletons.values():
-        for site in sites:
-            singleton_sites[site] = singleton_sites.get(site, 0) + 1
-    for site in sorted(singleton_sites, key=lambda s: (-singleton_sites[s], str(s))):
+    for site in evidence.by_frequency():
         if site not in pooled:
             pool.append(site)
             pooled.add(site)
@@ -426,8 +422,7 @@ def enumerate_pertest_min_covers(
             pooled.add(site)
     if len(pool) < max_candidates:
         by_partial = sorted(
-            (s for s in analysis.sites if s not in pooled),
-            key=lambda s: (-len(analysis.atoms_of(s)), str(s)),
+            (s for s in analysis.sites if s not in pooled), key=evidence.key
         )
         pool.extend(by_partial[: max_candidates - len(pool)])
     pool = pool[:max_candidates]

@@ -265,11 +265,11 @@ class Diagnoser:
             # union is the diagnosis resolution) plus the per-pattern exact
             # explainers; the reported multiplet list is capped.
             with t.span("refine"):
-                all_sites: list[Site] = []
-                for group in list(multiplet_sets) + [extras]:
-                    for site in group:
-                        if site not in all_sites:
-                            all_sites.append(site)
+                all_sites = list(
+                    dict.fromkeys(
+                        site for group in [*multiplet_sets, extras] for site in group
+                    )
+                )
                 reported_sets = multiplet_sets[: cfg.max_reported_multiplets]
 
                 core_sites = {site for group in multiplet_sets for site in group}
@@ -523,11 +523,11 @@ class Diagnoser:
             extras: list[Site] = []
             if cfg.per_pattern_candidates > 0:
                 for idx in datalog.failing_indices:
-                    explainers = sorted(
-                        analysis.exact_singletons.get(idx, ()),
-                        key=lambda s: (-len(analysis.atoms_of(s)), str(s)),
+                    extras.extend(
+                        analysis.evidence.top_explainers(
+                            idx, cfg.per_pattern_candidates
+                        )
                     )
-                    extras.extend(explainers[: cfg.per_pattern_candidates])
                 extras.extend(solution.pair_candidates)
         stats = {
             "n_unexplained_patterns": float(len(unexplained)),

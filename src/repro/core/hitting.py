@@ -94,8 +94,8 @@ def conflict_pool(
 ) -> list[Site]:
     """The structural candidate pool of the failing patterns: seeds first,
     then every analysis site inside some failing pattern's failing-output
-    fan-in cone, ranked by exact-evidence weight (its reproduced fail
-    atoms) with a deterministic string tie-break."""
+    fan-in cone, in :class:`~repro.core.pertest.Evidence` order (its
+    reproduced fail atoms, then its name)."""
     datalog = analysis.datalog
     cones = [
         analysis.netlist.fanin_cone(datalog.failing_outputs_of(idx))
@@ -103,7 +103,7 @@ def conflict_pool(
     ]
     ranked = sorted(
         (s for s in analysis.sites if any(s.net in cone for cone in cones)),
-        key=lambda s: (-len(analysis.atoms_of(s)), str(s)),
+        key=analysis.evidence.key,
     )
     swept = set(analysis.sites)
     pool = [s for s in dict.fromkeys(seed_sites) if s in swept]

@@ -46,14 +46,16 @@ verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
+from repro._bits import popcount
 from repro.circuit.netlist import Netlist, Site
 from repro.core.budget import Budget
 from repro.core.xcover import Atom
 from repro.obs.trace import trace_span
-from repro.sim.cache import Reproducers, SimContext, sim_context
+from repro.sim.cache import FlipView, Reproducers, SimContext, sim_context
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
@@ -105,12 +107,14 @@ class PerTestAnalysis:
     datalog: Datalog
     sites: tuple[Site, ...]
     atoms: frozenset[Atom]
-    #: failing pattern -> sites whose lone flip reproduces it, in ``sites``
-    #: order
-    exact_singletons: dict[int, tuple[Site, ...]]
     #: the shared context of ``(netlist, patterns)``: every flip and joint
     #: resimulation is read from its memo, across dies as well as stages
     _ctx: SimContext
+    #: the swept sites' window onto the context's flip index
+    _view: FlipView
+    #: failing pattern -> bitset (over site ids) of the sites whose lone
+    #: flip reproduces it
+    _singleton_bits: dict[int, int]
     #: per swept site, the fail atoms its lone flip reproduces
     _reproducers: Reproducers
     #: bit ``i`` set iff pattern ``i`` failed
@@ -125,6 +129,18 @@ class PerTestAnalysis:
     ] = field(default_factory=dict)
 
     # -- single-site queries ---------------------------------------------------
+
+    @cached_property
+    def exact_singletons(self) -> dict[int, tuple[Site, ...]]:
+        """Failing pattern -> sites whose lone flip reproduces it, in
+        ``sites`` order."""
+        view = self._view
+        return {idx: view.sites_in(bits) for idx, bits in self._singleton_bits.items()}
+
+    @cached_property
+    def evidence(self) -> "Evidence":
+        """The die's :class:`Evidence` ranking, built on first use."""
+        return Evidence(self)
 
     def atoms_of(self, site: Site) -> frozenset[Atom]:
         """Observed fail atoms that flipping ``site`` reproduces (none for a
@@ -235,7 +251,9 @@ def build_pertest(
     index had not seen), and the die's questions are then answered from
     it: per failing pattern, the candidates whose lone flip toggles exactly
     its failing outputs among its non-X strobes, in ``sites`` order; per
-    fail atom, the candidates whose flip toggles it.
+    fail atom, the candidates whose flip toggles it.  A candidate envelope
+    from :func:`~repro.core.backtrace.candidate_sites` is swept as its
+    bitset, visiting only the sites the index has not seen.
 
     ``base_values`` (full-test-set fault-free values) is accepted for API
     symmetry; the flips are read from the shared context's own base.
@@ -249,7 +267,6 @@ def build_pertest(
     """
     del base_values
     ctx = sim_context(netlist, patterns)
-    sites = list(sites)
     stop = None
     if budget is not None:
 
@@ -271,18 +288,105 @@ def build_pertest(
         datalog=datalog,
         sites=index.sites,
         atoms=atoms,
-        exact_singletons={
-            idx: index.explainers(
+        _ctx=ctx,
+        _view=index,
+        _singleton_bits={
+            idx: index.explainer_bits(
                 idx, datalog.failing_outputs_of(idx), datalog.x_outputs_of(idx)
             )
             for idx in failing
         },
-        _ctx=ctx,
         _reproducers=index.reproducers(atoms),
         _fail_mask=sum(1 << idx for idx in failing),
         _obs_vec=datalog.observed_diff(netlist.outputs),
         _x_vec=datalog.fail_x_vectors(),
     )
+
+
+class Evidence:
+    """One die's evidence about its candidates, and the one order that
+    ranks candidates by it.
+
+    A site's :meth:`key` is ``(-atoms, name)``: the fail atoms its lone
+    flip reproduces, most first, then its name, read from
+    :meth:`Netlist.site_name_ranks
+    <repro.circuit.netlist.Netlist.site_name_ranks>` instead of building
+    ``str(site)``.  Built once per die over the union of the exact
+    singletons, in key order, with each one's failing-pattern set (the
+    failing patterns it alone explains) as a bitset over pattern indices.
+    The greedy cover's picks, the enumeration pool, the per-pattern
+    extras and the exact engine's conflict pool all rank through it, so
+    a change to how candidates are ranked is made here.
+    """
+
+    def __init__(self, analysis: PerTestAnalysis):
+        numbering = analysis._ctx.netlist  # the netlist that numbered the sites
+        self._ids = numbering.site_ids
+        self._names = names = numbering.site_name_ranks()
+        self._reproducers = reproducers = analysis._reproducers
+        singletons = analysis._singleton_bits
+        union = 0
+        for bits in singletons.values():
+            union |= bits
+        # Each singleton's failing-pattern set, read from the patterns'
+        # bitsets as bytes: a byte test per site and pattern.
+        width = (union.bit_length() + 7) // 8
+        columns = [
+            (1 << idx, bits.to_bytes(width, "little"))
+            for idx, bits in singletons.items()
+        ]
+        count = reproducers.count
+        entries = []
+        for sid, site in analysis._view.numbered(union):
+            at, bit = sid >> 3, 1 << (sid & 7)
+            patterns = 0
+            for pattern, data in columns:
+                if data[at] & bit:
+                    patterns |= pattern
+            entries.append((-count(sid), names[sid], site, patterns))
+        entries.sort()  # names are unique: never compares further
+        #: ``(key..., site, patterns)`` per exact singleton, in key order
+        self._entries = entries
+
+    def key(self, site: Site) -> tuple[int, int]:
+        """``(-atoms, name rank)`` of one of the die's candidates."""
+        sid = self._ids[site]
+        return -self._reproducers.count(sid), self._names[sid]
+
+    def top_explainers(self, pattern: int, limit: int) -> list[Site]:
+        """The first ``limit`` exact singletons of failing ``pattern`` in
+        key order."""
+        bit = 1 << pattern
+        top: list[Site] = []
+        for _atoms, _name, site, patterns in self._entries:
+            if patterns & bit:
+                top.append(site)
+                if len(top) == limit:
+                    break
+        return top
+
+    def by_frequency(self) -> list[Site]:
+        """The exact singletons by how many failing patterns each alone
+        explains, most first, then by name."""
+        ranked = sorted(
+            (-popcount(patterns), name, site)
+            for _atoms, name, site, patterns in self._entries
+        )
+        return [site for _count, _name, site in ranked]
+
+    def best_explainer(self, open_patterns: int) -> Site | None:
+        """The exact singleton that alone explains the most of
+        ``open_patterns`` (a bitset over pattern indices), the lower name
+        on a tie; None when none explains any."""
+        best = min(
+            (
+                (-popcount(patterns & open_patterns), name, site)
+                for _atoms, name, site, patterns in self._entries
+                if patterns & open_patterns
+            ),
+            default=None,
+        )
+        return None if best is None else best[2]
 
 
 def pair_search(

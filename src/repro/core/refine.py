@@ -13,9 +13,11 @@ honestly labeled candidate.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro._bits import popcount
 from repro.circuit.netlist import Netlist, Site
 from repro.core.budget import Budget
 from repro.core.report import Hypothesis
@@ -165,16 +167,15 @@ def _aggressor_pool(
     relevance_mask = 0
     for idx in relevant:
         relevance_mask |= 1 << idx
-    victim_cone = netlist.fanout_cone([victim])
+    victim_cone = netlist.fanout_cone([victim])  # holds the victim itself
+    victim_value = base_values[victim]
     scored: list[tuple[int, str]] = []
     distance = config.bridge_level_distance
     for level in range(victim_level - distance, victim_level + distance + 1):
         for net in netlist.nets_at_level(level):
-            if net == victim or net in victim_cone:
+            if net in victim_cone:
                 continue
-            disagreement = (base_values[net] ^ base_values[victim]) & relevance_mask
-            count = bin(disagreement).count("1")
+            count = popcount((base_values[net] ^ victim_value) & relevance_mask)
             if count:
-                scored.append((count, net))
-    scored.sort(key=lambda kv: (-kv[0], kv[1]))
-    return [net for _count, net in scored[: config.max_aggressors]]
+                scored.append((-count, net))
+    return [net for _count, net in heapq.nsmallest(config.max_aggressors, scored)]

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from repro._bits import popcount
 from repro.circuit.netlist import Netlist
 from repro.core.xcover import Atom
 from repro.errors import OscillationError
@@ -124,7 +125,7 @@ class MatchCounter:
         alarms = {out: passing & ~vec for out, vec in vectors.items()}
         for idx, out in x_atoms:
             alarms[out] = alarms.get(out, passing) & ~(1 << idx)
-        self.n_atoms = sum(bin(vec).count("1") for vec in vectors.values())
+        self.n_atoms = sum(map(popcount, vectors.values()))
         self._observed = vectors
         self._alarms = alarms
         self._passing = passing
@@ -147,8 +148,8 @@ class MatchCounter:
         passing = self._passing
         hits = false_alarms = 0
         for out, vec in diff.items():
-            hits += bin(vec & observed.get(out, 0)).count("1")
-            false_alarms += bin(vec & alarms.get(out, passing)).count("1")
+            hits += popcount(vec & observed.get(out, 0))
+            false_alarms += popcount(vec & alarms.get(out, passing))
         return hits, self.n_atoms - hits, false_alarms
 
     def iou(self, diff: Mapping[str, int]) -> float:
@@ -157,8 +158,8 @@ class MatchCounter:
         observed = self._observed
         hits = predicted = 0
         for out, vec in diff.items():
-            predicted += bin(vec).count("1")
-            hits += bin(vec & observed.get(out, 0)).count("1")
+            predicted += popcount(vec)
+            hits += popcount(vec & observed.get(out, 0))
         union = predicted + self.n_atoms - hits
         return hits / union if union else 1.0
 

@@ -46,8 +46,9 @@ import threading
 from collections import OrderedDict, defaultdict
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro._bits import bit_positions, tally
 from repro.circuit.gates import eval2
-from repro.circuit.netlist import Netlist, Site
+from repro.circuit.netlist import Netlist, Site, SiteList
 from repro.errors import SimulationError
 from repro.obs.trace import trace_event
 from repro.sim.compile import COUNTERS, active_kernels, base_slots, reset_kernel_cache
@@ -327,11 +328,17 @@ class SimContext:
 
         A site not yet in the context's flip index costs one
         :meth:`flip_signature` (a memo hit when an earlier stage or die
-        already flipped it), transposed into the index once; a site
-        already there costs one id lookup.  ``stop(done)`` is asked before
-        each site, and when it answers true the view covers only the
-        first ``done`` sites.  Any site :meth:`Netlist.validate_site
+        already flipped it), transposed into the index once.  ``stop(done)``
+        is asked before each site, and when it answers true the view covers
+        only the first ``done`` sites.  Any site :meth:`Netlist.validate_site
         <repro.circuit.netlist.Netlist.validate_site>` accepts works.
+
+        With no ``stop``, a :class:`~repro.circuit.netlist.SiteList` of the
+        context's netlist (a candidate envelope) is read as its bitset: the
+        sweep visits only ``envelope & ~indexed``, the sites the index has
+        not seen, and the view answers in id order, which is the list's
+        order, so a warm envelope costs no per-site work.  Any other
+        sweep costs one site-id lookup per site.
         """
         index = self._index
         if index is None:
@@ -339,22 +346,25 @@ class SimContext:
                 if self._index is None:
                     self._index = _FlipIndex(self.netlist)
                 index = self._index
-        ids = index.ids
-        indexed = index.indexed
-        swept: list[int] = []
+        netlist = self.netlist
         added = 0
+        if stop is None and isinstance(sites, SiteList) and sites.netlist is netlist:
+            envelope = sites.mask
+            if envelope is not None:
+                for sid in bit_positions(envelope & ~index.indexed):
+                    site = netlist.sites_by_id[sid]
+                    added += index.add(sid, self.flip_signature(site))
+                return FlipView(index, netlist, tuple(sites), added, envelope=envelope)
+        swept: list[int] = []
         for done, site in enumerate(sites):
             if stop is not None and stop(done):
                 sites = sites[:done]
                 break
-            sid = ids.get(site)
-            if sid is None:
-                self.netlist.validate_site(site)
-                sid = index.new_id(site)
-            if not indexed[sid]:
+            sid = netlist.site_id(site)
+            if not index.indexed >> sid & 1:
                 added += index.add(sid, self.flip_signature(site))
             swept.append(sid)
-        return FlipView(index, tuple(sites), swept, added)
+        return FlipView(index, netlist, tuple(sites), added, ids=swept)
 
     def x_reach(self, site: Site) -> dict[str, int]:
         """Memoized :func:`~repro.sim.threeval.x_injection_reach` at
@@ -380,11 +390,10 @@ class SimContext:
 class _FlipIndex:
     """A context's flip signatures, transposed pattern-major.
 
-    Site ids follow :meth:`Netlist.sites
-    <repro.circuit.netlist.Netlist.sites>`; any other valid site (a branch
-    of a single-fanout net) gets the next id on first use.  Strobe
-    ``(pattern, output)`` owns one bitset over site ids: bit ``i`` is set
-    iff complementing site ``i`` flips that output under that pattern.  A
+    Sites are numbered by their netlist's :attr:`Netlist.site_ids
+    <repro.circuit.netlist.Netlist.site_ids>`.  Strobe ``(pattern,
+    output)`` owns one bitset over site ids: bit ``i`` is set iff
+    complementing site ``i`` flips that output under that pattern.  A
     site's ids are appended to its strobes' pending lists when it is
     added, and a strobe folds its pending ids into its bitset when first
     read after that, so adding a site costs one list append per set bit of
@@ -394,35 +403,24 @@ class _FlipIndex:
     marked indexed.
     """
 
-    __slots__ = ("lock", "ids", "indexed", "outputs", "column", "pending", "folded")
+    __slots__ = ("lock", "indexed", "outputs", "column", "pending", "folded")
 
     def __init__(self, netlist: Netlist):
         self.lock = threading.Lock()
-        sites = netlist.sites()
-        self.ids: dict[Site, int] = {site: sid for sid, site in enumerate(sites)}
-        #: ``indexed[sid]`` is 1 once site ``sid``'s flips are in the index
-        self.indexed = bytearray(len(sites))
+        #: bitset of the site ids whose flips are in the index
+        self.indexed = 0
         self.outputs: tuple[str, ...] = tuple(dict.fromkeys(netlist.outputs))
         self.column = {out: col for col, out in enumerate(self.outputs)}
         #: strobe key ``pattern * len(outputs) + column`` -> ids not yet folded
         self.pending: defaultdict[int, list[int]] = defaultdict(list)
         self.folded: dict[int, int] = {}
 
-    def new_id(self, site: Site) -> int:
-        """The id of a valid site outside :meth:`Netlist.sites`."""
-        with self.lock:
-            sid = self.ids.get(site)
-            if sid is None:
-                sid = self.ids[site] = len(self.indexed)
-                self.indexed.append(0)
-        return sid
-
     def add(self, sid: int, signature: Mapping[str, int]) -> int:
         """Transpose one site's flip signature in; 1 if it was new."""
         width = len(self.outputs)
         column = self.column
         with self.lock:
-            if self.indexed[sid]:
+            if self.indexed >> sid & 1:
                 return 0
             pending = self.pending
             for out, vec in signature.items():
@@ -431,7 +429,7 @@ class _FlipIndex:
                     low = vec & -vec
                     pending[(low.bit_length() - 1) * width + col].append(sid)
                     vec ^= low
-            self.indexed[sid] = 1
+            self.indexed |= 1 << sid
         return 1
 
     def row(self, pattern: int) -> list[int]:
@@ -457,43 +455,63 @@ class _FlipIndex:
 class FlipView:
     """One candidate list's window onto a context's flip index.
 
-    Answers in site terms: ids and bitsets stay inside this module.  Built
-    by :meth:`SimContext.flip_index`; ``sites`` is the swept candidate
-    list and ``added`` how many of them the index took in new.
+    Built by :meth:`SimContext.flip_index`: ``sites`` is the swept
+    candidate list, ``mask`` their bitset over the netlist's site ids and
+    ``added`` how many of them the index took in new.  Answers come as
+    sites in ``sites`` order, or as bitsets over site ids for a caller
+    that ranks them (:meth:`explainer_bits`, :meth:`sites_in`,
+    :meth:`numbered`).
     """
 
-    __slots__ = ("sites", "added", "_index", "_mask", "_rank")
+    __slots__ = ("sites", "mask", "added", "_index", "_netlist", "_rank")
 
     def __init__(
-        self, index: _FlipIndex, sites: tuple[Site, ...], ids: list[int], added: int
+        self,
+        index: _FlipIndex,
+        netlist: Netlist,
+        sites: tuple[Site, ...],
+        added: int,
+        envelope: int | None = None,
+        ids: Sequence[int] = (),
     ):
         self.sites = sites
         self.added = added
         self._index = index
-        mask = 0
-        for sid in ids:
-            mask |= 1 << sid
-        self._mask = mask
-        #: site id -> its first position in ``sites``
-        self._rank = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+        self._netlist = netlist
+        if envelope is not None:
+            # ``sites`` is the envelope itself, in id order.
+            self.mask = envelope
+            self._rank: dict[int, int] | None = None
+        else:
+            mask = 0
+            for sid in ids:
+                mask |= 1 << sid
+            self.mask = mask
+            #: site id -> its first position in ``sites``
+            self._rank = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
 
-    def explainers(
+    def explainer_bits(
         self, pattern: int, failing: Iterable[str], unknown: Iterable[str] = ()
-    ) -> tuple[Site, ...]:
-        """The sites whose lone flip under ``pattern`` toggles exactly the
-        ``failing`` outputs (a non-empty set of the netlist's outputs),
-        whatever it does at the ``unknown`` ones, in ``sites`` order."""
+    ) -> int:
+        """Bitset of the sites whose lone flip under ``pattern`` toggles
+        exactly the ``failing`` outputs (a non-empty set of the netlist's
+        outputs), whatever it does at the ``unknown`` ones."""
         failing = frozenset(failing)
         unknown = frozenset(unknown)
-        index = self._index
-        exact = self._mask
+        exact = self.mask
         others = 0
-        for out, bits in zip(index.outputs, index.row(pattern)):
+        for out, bits in zip(self._index.outputs, self._index.row(pattern)):
             if out in failing:
                 exact &= bits
             elif out not in unknown:
                 others |= bits
-        return self._in_order(exact & ~others)
+        return exact & ~others
+
+    def explainers(
+        self, pattern: int, failing: Iterable[str], unknown: Iterable[str] = ()
+    ) -> tuple[Site, ...]:
+        """:meth:`explainer_bits` as sites, in ``sites`` order."""
+        return self.sites_in(self.explainer_bits(pattern, failing, unknown))
 
     def reproducers(self, strobes: Iterable[tuple[int, str]]) -> "Reproducers":
         """Which of ``strobes`` (``(pattern, output)`` pairs) each swept
@@ -506,20 +524,29 @@ class FlipView:
             if row is None:
                 row = rows[pattern] = index.row(pattern)
             col = index.column.get(out)
-            if col is not None and row[col] & self._mask:
-                bits[(pattern, out)] = row[col] & self._mask
-        return Reproducers(index.ids, bits)
+            if col is not None and row[col] & self.mask:
+                bits[(pattern, out)] = row[col] & self.mask
+        return Reproducers(self._netlist.site_ids, bits)
 
-    def _in_order(self, bits: int) -> tuple[Site, ...]:
+    def sites_in(self, bits: int) -> tuple[Site, ...]:
+        """The swept sites of the bitset ``bits``, in ``sites`` order."""
         rank = self._rank
-        positions = []
-        while bits:
-            low = bits & -bits
-            positions.append(rank[low.bit_length() - 1])
-            bits ^= low
-        positions.sort()
+        if rank is None:
+            by_id = self._netlist.sites_by_id
+            return tuple(by_id[sid] for sid in bit_positions(bits))
         sites = self.sites
+        positions = sorted(rank[sid] for sid in bit_positions(bits))
         return tuple(sites[pos] for pos in positions)
+
+    def numbered(self, bits: int) -> list[tuple[int, Site]]:
+        """``(id, site)`` for each swept site of the bitset ``bits``, in
+        id order."""
+        ids = bit_positions(bits)
+        rank = self._rank
+        if rank is None:
+            return list(zip(ids, map(self._netlist.sites_by_id.__getitem__, ids)))
+        sites = self.sites
+        return [(sid, sites[rank[sid]]) for sid in ids]
 
 
 class Reproducers:
@@ -528,10 +555,12 @@ class Reproducers:
     Decoded lazily, one site at a time and memoized: a die asks about a
     few hundred of its candidates, and most of those toggle none of its
     strobes.  The strobes' bitsets are kept as bytes, so testing one site
-    is a byte lookup rather than a shift of a bitset as wide as the index.
+    is a byte lookup rather than a shift of a bitset as wide as the index;
+    their bit-sliced counts are kept the same way, so :meth:`count` reads
+    a handful of bytes whatever the number of strobes.
     """
 
-    __slots__ = ("_ids", "_any", "_strobes", "_memo")
+    __slots__ = ("_ids", "_any", "_strobes", "_counts", "_memo")
 
     def __init__(self, ids: Mapping[Site, int], bits: dict[tuple[int, str], int]):
         self._ids = ids
@@ -542,6 +571,10 @@ class Reproducers:
         self._any = hit_any.to_bytes(width, "little")
         self._strobes = [
             (strobe, vec.to_bytes(width, "little")) for strobe, vec in bits.items()
+        ]
+        self._counts = [
+            (1 << k, plane.to_bytes(width, "little"))
+            for k, plane in enumerate(tally(bits.values()))
         ]
         self._memo: dict[Site, frozenset[tuple[int, str]]] = {}
 
@@ -558,6 +591,16 @@ class Reproducers:
                 found = frozenset()
             self._memo[site] = found
         return found
+
+    def count(self, sid: int) -> int:
+        """How many of the strobes site ``sid``'s lone flip toggles."""
+        at, bit = sid >> 3, 1 << (sid & 7)
+        count = 0
+        if at < len(self._any):
+            for weight, data in self._counts:
+                if data[at] & bit:
+                    count += weight
+        return count
 
 
 # ---------------------------------------------------------------------------

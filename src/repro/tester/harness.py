@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from repro._bits import popcount
 from repro.circuit.netlist import Netlist
 from repro.faults.injection import FaultyCircuit
 from repro.faults.models import Defect
@@ -89,7 +90,7 @@ def apply_test(
             # An X capture mismatches nothing: strip masked bits from the
             # evidence instead of logging a mid-oscillation read as a fail.
             for out, xm in xmasks.items():
-                x_atoms += bin(xm & patterns.mask).count("1")
+                x_atoms += popcount(xm & patterns.mask)
                 if out in diff:
                     kept = diff[out] & ~xm
                     if kept:

@@ -1,13 +1,18 @@
 """Structural candidate extraction and critical path tracing."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.circuit.generators import random_dag
+from repro.circuit.library import load_circuit
 from repro.circuit.netlist import Site
 from repro.core.backtrace import candidate_sites, cpt_trace, flip_criticality
+from repro.core.budget import CAUSE_EXPANSIONS, Budget
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog, FailRecord
+
+from tests.test_properties import circuits
 
 
 class TestCandidateSites:
@@ -45,6 +50,65 @@ class TestCandidateSites:
         a = candidate_sites(c17_netlist, datalog)
         b = candidate_sites(c17_netlist, datalog)
         assert a == b
+
+
+def _set_union_envelope(netlist, records, include_branches):
+    """The envelope by its definition: the union of the failing outputs'
+    fan-in cones, stems in net order, then each net's branches whose
+    reading gate is in the union."""
+    nets: set[str] = set()
+    for record in records:
+        nets |= netlist.fanin_cone(record.failing_outputs)
+    ordered = [net for net in netlist.nets() if net in nets]
+    sites = [netlist.stem_site(net) for net in ordered]
+    if include_branches:
+        for net in ordered:
+            sites.extend(
+                site for site in netlist.branch_sites(net) if site.branch[0] in nets
+            )
+    return sites
+
+
+class _CutAfter(Budget):
+    """Exhausted from the ``checks``-th check on."""
+
+    def __init__(self, checks: int):
+        super().__init__()
+        self.checks = checks
+
+    def exceeded(self):
+        self.checks -= 1
+        return CAUSE_EXPANSIONS if self.checks < 0 else None
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    netlist=st.one_of(
+        st.sampled_from(["c17", "rca8", "alu8", "mul8"]).map(load_circuit), circuits
+    ),
+    data=st.data(),
+)
+def test_bitset_envelope_is_the_set_union(netlist, data):
+    """The bitset envelope equals the set-union definition, with and
+    without branches and when a budget cuts the backtrace after a record."""
+    n_records = data.draw(st.integers(1, 5))
+    records = [
+        FailRecord(
+            idx,
+            frozenset(data.draw(st.sets(st.sampled_from(netlist.outputs), min_size=1))),
+        )
+        for idx in range(n_records)
+    ]
+    datalog = Datalog(netlist.name, n_records, records)
+    include_branches = data.draw(st.booleans())
+    kept = data.draw(st.integers(1, n_records))
+    budget = _CutAfter(kept - 1)
+    sites = candidate_sites(netlist, datalog, include_branches, budget=budget)
+    expected = _set_union_envelope(netlist, records[:kept], include_branches)
+    assert sites == expected
+    assert all(a is b for a, b in zip(sites, expected))
+    assert sites.mask == sum(1 << netlist.site_ids[site] for site in expected)
+    assert [t.done for t in budget.truncations] == ([kept] if kept < n_records else [])
 
 
 class TestFlipCriticality:

@@ -14,6 +14,7 @@ from repro.circuit.library import load_circuit
 from repro.circuit.netlist import Site
 from repro.core.budget import Budget
 from repro.core.diagnose import Diagnoser
+from repro.core.hitting import conflict_pool
 from repro.core.pertest import build_pertest, pair_search
 from repro.core.backtrace import candidate_sites
 from repro.faults.models import StuckAtDefect
@@ -330,14 +331,15 @@ class TestFlipIndex:
         ctx = sim_context(netlist, patterns)
         index = ctx._index
         expected: dict[tuple[int, str], int] = {}
-        indexed = [site for site, sid in index.ids.items() if index.indexed[sid]]
+        ids = netlist.site_ids
+        indexed = [site for site, sid in ids.items() if index.indexed >> sid & 1]
         assert indexed
         for site in indexed:
             for out, vec in ctx.flip_signature(site).items():
                 for p in range(patterns.n):
                     if vec >> p & 1:
                         key = (p, out)
-                        expected[key] = expected.get(key, 0) | 1 << index.ids[site]
+                        expected[key] = expected.get(key, 0) | 1 << ids[site]
         for p in range(patterns.n):
             for out, bits in zip(index.outputs, index.row(p)):
                 assert bits == expected.get((p, out), 0), (p, out)
@@ -391,8 +393,7 @@ class TestFlipIndex:
             if other != die:
                 break
         build_pertest(netlist, patterns, other, candidate_sites(netlist, other))
-        warm_before = sim_context(netlist, patterns)._index.indexed.count(1)
-        assert warm_before
+        assert sim_context(netlist, patterns)._index.indexed
         warm_cut, warm = governed()
 
         assert len(cold_cut) == 1 and cold_cut[0].stage == "pertest"
@@ -415,6 +416,34 @@ class TestFlipIndex:
         delta = COUNTERS.delta(before)
         assert delta["flip_misses"] == 0
         assert delta["cone_passes"] == 0
+
+    def test_warm_envelope_sweep_hashes_no_site(self, monkeypatch):
+        """A warm die's envelope is swept as a bitset: no candidate is
+        looked up, in the flip index or anywhere in building the analysis."""
+        reset_sim_caches()
+        netlist = load_circuit("mul8")
+        patterns = PatternSet.random(netlist, 40, seed=4)
+        die, _ = _failing_die(netlist, patterns, 1, seed=9)
+        sites = candidate_sites(netlist, die)
+        cold = build_pertest(netlist, patterns, die, sites)
+        ctx = sim_context(netlist, patterns)
+        calls = 0
+        site_hash = Site.__hash__
+
+        def counting_hash(site):
+            nonlocal calls
+            calls += 1
+            return site_hash(site)
+
+        monkeypatch.setattr(Site, "__hash__", counting_hash)
+        view = ctx.flip_index(sites)
+        swept = calls
+        warm = build_pertest(netlist, patterns, die, sites)
+        monkeypatch.undo()
+        assert swept == 0 and calls == 0
+        assert view.added == 0 and view.sites == tuple(sites)
+        assert warm.sites == cold.sites
+        assert warm.exact_singletons == cold.exact_singletons
 
     def test_threads_share_one_cold_context(self):
         netlist = load_circuit("mul8")
@@ -502,3 +531,98 @@ class TestFlipIndex:
                 assert [results[i] for i in range(len(lists))] == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+# -- the evidence ranking --------------------------------------------------------
+
+
+def _atoms_then_name(analysis):
+    return lambda site: (-len(analysis.atoms_of(site)), str(site))
+
+
+def _reference_conflict_pool(analysis, seeds):
+    """``hitting.conflict_pool`` as a sort over every candidate."""
+    datalog = analysis.datalog
+    cones = [
+        analysis.netlist.fanin_cone(datalog.failing_outputs_of(idx))
+        for idx in datalog.failing_indices
+    ]
+    ranked = sorted(
+        (s for s in analysis.sites if any(s.net in cone for cone in cones)),
+        key=_atoms_then_name(analysis),
+    )
+    swept = set(analysis.sites)
+    pool = [s for s in dict.fromkeys(seeds) if s in swept]
+    seen = set(pool)
+    pool.extend(s for s in ranked if s not in seen)
+    return pool
+
+
+class TestEvidence:
+    """The per-die evidence table gives what each sort it replaced gives:
+    the per-pattern extras, the singleton-frequency and partial-evidence
+    pools of the cover enumeration, the greedy pick, and the exact
+    engine's conflict pool."""
+
+    @pytest.mark.parametrize(
+        "name, k", [("rca8", 2), ("alu8", 1), ("alu8", 3), ("mul8", 1), ("mul8", 2)]
+    )
+    @pytest.mark.parametrize("variant", ["envelope", "with-branch"])
+    def test_rankings_match_the_sorted_references(self, name, k, variant):
+        netlist = load_circuit(name)
+        patterns = PatternSet.random(netlist, 48, seed=k)
+        rng = random.Random(f"{name}-{k}-{variant}")
+        ties = 0
+        for seed in range(3):
+            datalog, _ = _failing_die(netlist, patterns, k, seed=40 * seed + k)
+            sites = candidate_sites(netlist, datalog)
+            if variant == "with-branch":
+                branch = next(
+                    Site(site.net, netlist.fanout(site.net)[0])
+                    for site in sites
+                    if site.is_stem and netlist.fanout_count(site.net) == 1
+                )
+                sites.insert(len(sites) // 2, branch)
+            analysis = build_pertest(netlist, patterns, datalog, sites)
+            evidence = analysis.evidence
+            by_atoms = _atoms_then_name(analysis)
+
+            # Per-pattern extras.
+            for idx in datalog.failing_indices:
+                explainers = analysis.exact_singletons[idx]
+                assert evidence.top_explainers(idx, 6) == sorted(
+                    explainers, key=by_atoms
+                )[:6]
+            # Singleton frequency, as the enumeration pool ranks it.
+            frequency: dict[Site, int] = {}
+            for explainers in analysis.exact_singletons.values():
+                for site in explainers:
+                    frequency[site] = frequency.get(site, 0) + 1
+            assert evidence.by_frequency() == sorted(
+                frequency, key=lambda s: (-frequency[s], str(s))
+            )
+            # Partial evidence: every candidate in key order.
+            ranked = sorted(analysis.sites, key=by_atoms)
+            assert sorted(analysis.sites, key=evidence.key) == ranked
+            ties += sum(
+                by_atoms(a)[0] == by_atoms(b)[0] for a, b in zip(ranked, ranked[1:])
+            )
+            # Greedy pick over random sets of still-open patterns.
+            failing = datalog.failing_indices
+            for _ in range(12):
+                open_patterns = [idx for idx in failing if rng.random() < 0.6]
+                gains: dict[Site, int] = {}
+                for idx in open_patterns:
+                    for site in analysis.exact_singletons[idx]:
+                        gains[site] = gains.get(site, 0) + 1
+                want = (
+                    min(gains, key=lambda s: (-gains[s], str(s))) if gains else None
+                )
+                got = evidence.best_explainer(sum(1 << idx for idx in open_patterns))
+                assert got == want
+            # The exact engine's conflict pool.
+            seeds = rng.sample(list(analysis.sites), 3)
+            assert conflict_pool(analysis, seeds) == _reference_conflict_pool(
+                analysis, seeds
+            )
+        assert ties  # the name tie-break was exercised
