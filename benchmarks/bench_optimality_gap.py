@@ -38,7 +38,6 @@ from repro.core.budget import OPTIMALITY_OPTIMAL
 from repro.core.cover import greedy_pertest_cover
 from repro.core.hitting import hitting_set_cover
 from repro.core.pertest import build_pertest
-from repro.sim.logicsim import simulate
 from repro.tester.harness import apply_test
 
 RESULTS = Path(__file__).parent / "results"
@@ -61,9 +60,9 @@ def _instances(circuit: str, k: int, trials: int, seed: int):
 
 
 def _compare(netlist, patterns, datalog):
-    base = simulate(netlist, patterns)
-    sites = candidate_sites(netlist, datalog)
-    analysis = build_pertest(netlist, patterns, datalog, sites, base)
+    analysis = build_pertest(
+        netlist, patterns, datalog, candidate_sites(netlist, datalog)
+    )
     greedy = greedy_pertest_cover(analysis)
     started = time.perf_counter()
     exact = hitting_set_cover(

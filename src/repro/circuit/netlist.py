@@ -19,16 +19,12 @@ rest of the stack leans on:
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro._bits import select
 from repro.circuit.gates import Gate, GateKind
 from repro.errors import CircuitError, NetlistError
-
-#: Guards the growth of every netlist's site-id table (:meth:`Netlist.site_id`).
-_SITE_ID_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -92,31 +88,6 @@ class Site:
         return cls(net, (gate, int(pin)))
 
 
-class SiteList(list):
-    """Sites of one netlist in site-id order, built by
-    :meth:`Netlist.sites_of` together with their bitset over the site ids.
-
-    An ordinary list to every caller.  :attr:`mask` gives the bitset back
-    only while the list still holds the sites it was built with, so a
-    caller that edits the list (inserts a site, shuffles it) has an
-    ordinary list again.
-    """
-
-    __slots__ = ("netlist", "_mask", "_built")
-
-    def __init__(self, netlist: "Netlist", sites: Iterable[Site], mask: int):
-        super().__init__(sites)
-        self.netlist = netlist
-        self._mask = mask
-        self._built = tuple(self)
-
-    @property
-    def mask(self) -> int | None:
-        """The sites' bitset over :attr:`netlist`'s site ids, or None once
-        the list no longer holds exactly the sites it was built with."""
-        return self._mask if tuple(self) == self._built else None
-
-
 class Netlist:
     """An immutable-after-construction combinational netlist.
 
@@ -173,7 +144,7 @@ class Netlist:
         self._site_table: (
             tuple[dict[str, Site], dict[str, tuple[Site, ...]]] | None
         ) = None
-        self._id_table: tuple[dict[Site, int], list[Site]] | None = None
+        self._id_table: tuple[dict[Site, int], tuple[Site, ...]] | None = None
         self._name_ranks: list[int] = []
         self._fanin_sites: dict[str, int] = {}
         self._ffr_table: dict[str, str] | None = None
@@ -493,67 +464,45 @@ class Netlist:
 
     # -- site ids ------------------------------------------------------------------
 
-    def _ids(self) -> tuple[dict[Site, int], list[Site]]:
+    def _ids(self) -> tuple[dict[Site, int], tuple[Site, ...]]:
         table = self._id_table
         if table is None:
-            # Built once under the lock: a site numbered in a table that a
-            # racing build then replaced would be numbered again, twice over.
-            with _SITE_ID_LOCK:
-                table = self._id_table
-                if table is None:
-                    by_id = self.sites()
-                    table = self._id_table = (
-                        {site: sid for sid, site in enumerate(by_id)},
-                        by_id,
-                    )
+            by_id = tuple(self.sites())
+            table = self._id_table = (
+                {site: sid for sid, site in enumerate(by_id)},
+                by_id,
+            )
         return table
 
     @property
     def site_ids(self) -> Mapping[Site, int]:
-        """Every known site's id, the bit that stands for it in a bitset
-        over sites.
+        """Each site's id, the bit that stands for it in a bitset over
+        sites.
 
         The sites of :meth:`sites` are numbered in that order -- the stem
         of every net first, in :meth:`nets` order, so the stems' ids are
-        ``0 .. n_nets - 1`` -- and any other valid site (a branch of a
-        single-fanout net) gets the next free id from :meth:`site_id` on
-        first use.  Read-only.
+        ``0 .. n_nets - 1`` -- and no other site has an id.  The ids
+        depend only on the netlist's structure, so a bitset over sites
+        means the same sites to every structurally equal netlist.
+        Read-only.
         """
         return self._ids()[0]
 
-    def site_id(self, site: Site) -> int:
-        """The id of ``site`` (see :attr:`site_ids`), numbering a valid
-        site outside :meth:`sites` on first use; raises
-        :class:`~repro.errors.NetlistError` for an invalid one."""
-        ids, by_id = self._ids()
-        sid = ids.get(site)
-        if sid is None:
-            self.validate_site(site)
-            with _SITE_ID_LOCK:
-                sid = ids.get(site)
-                if sid is None:
-                    by_id.append(site)
-                    sid = ids[site] = len(by_id) - 1
-        return sid
-
     @property
-    def sites_by_id(self) -> Sequence[Site]:
-        """The numbered sites (see :attr:`site_ids`), indexed by id.
-        Read-only."""
+    def sites_by_id(self) -> tuple[Site, ...]:
+        """The sites of :meth:`sites`, indexed by id (see :attr:`site_ids`)."""
         return self._ids()[1]
 
-    def sites_of(self, mask: int) -> SiteList:
+    def sites_of(self, mask: int) -> list[Site]:
         """The sites whose ids are set in ``mask``, in id order."""
-        return SiteList(self, select(self._ids()[1], mask), mask)
+        return select(self._ids()[1], mask)
 
     def site_name_ranks(self) -> list[int]:
-        """Per site id, the site's position among all numbered sites in
-        ``str`` order: the same tie-break as comparing names, as a list
-        read."""
-        by_id = self._ids()[1]
+        """Per site id, the site's position among all sites in ``str``
+        order: the same tie-break as comparing names, as a list read."""
         ranks = self._name_ranks
-        if len(ranks) != len(by_id):
-            names = [str(site) for site in list(by_id)]
+        if not ranks:
+            names = [str(site) for site in self.sites_by_id]
             ranks = [0] * len(names)
             order = sorted(range(len(names)), key=names.__getitem__)
             for rank, sid in enumerate(order):

@@ -1,26 +1,22 @@
-"""Structural candidate extraction and critical path tracing.
-
-Two complementary tools:
+"""Structural candidate extraction and single-site criticality.
 
 - :func:`candidate_sites` builds the *complete* structural candidate
   envelope for a datalog: every site with a path into some failing output
   of some failing pattern.  Under the no-assumptions premise this is the
   only sound hard pruning -- any tighter filter needs behavioral analysis
-  (the X-cover stage).
+  (the X-cover stage).  The envelope is a bitset over the netlist's site
+  ids, the form per-test analysis and the flip index take it in.
 
 - :func:`flip_criticality` is an exact, stem-aware critical path tracing
   primitive computed by single-site flip resimulation, bit-parallel over
-  all patterns at once.  :func:`cpt_trace` is the classic recursive
-  gate-level CPT (with explicit stem checks) kept both as an independent
-  oracle for testing and as the cheaper ranking signal used in ablation
-  studies.
+  all patterns at once.  The pipeline's region-wise critical path tracing
+  is :meth:`SimContext.critical <repro.sim.cache.SimContext.critical>`.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.circuit.gates import eval2
 from repro.circuit.netlist import Netlist, Site
 from repro.core.budget import Budget
 from repro.sim.cache import active_context
@@ -34,22 +30,20 @@ def candidate_sites(
     datalog: Datalog,
     include_branches: bool = True,
     budget: Budget | None = None,
-) -> list[Site]:
-    """Sites structurally able to affect some observed failing output.
+) -> int:
+    """Sites structurally able to affect some observed failing output, as
+    a bitset over the netlist's :attr:`site ids
+    <repro.circuit.netlist.Netlist.site_ids>`.
 
     The union, over failing patterns, of the fan-in cones of that
     pattern's failing outputs; branch sites are included when the reading
-    gate lies inside the envelope.  Deterministically ordered by site id
-    (:attr:`~repro.circuit.netlist.Netlist.site_ids`: stems in
-    topological position, then branches), and made of the netlist's own
-    Site objects, so the per-site memos of every later stage hit on
-    identity.
-
-    The envelope is built as a bitset over the site ids, one OR of the
-    netlist's memoized :meth:`~repro.circuit.netlist.Netlist.fanin_sites`
-    per failing output, and returned as a
-    :class:`~repro.circuit.netlist.SiteList` that carries the bitset, so
-    per-test analysis reads the envelope without a pass over its sites.
+    gate lies inside the envelope.  Built as one OR of the netlist's
+    memoized :meth:`~repro.circuit.netlist.Netlist.fanin_sites` per
+    failing output.  Site ids depend only on the netlist's structure, so
+    the envelope names the same sites to every structurally equal
+    netlist; :meth:`~repro.circuit.netlist.Netlist.sites_of` lists them
+    in id order (stems in topological position, then branches) as the
+    netlist's own Site objects.
 
     Under a ``budget`` the cone union is checked per failing record (after
     the first, so the envelope is never empty for a failing device); on
@@ -68,7 +62,7 @@ def candidate_sites(
             envelope |= netlist.fanin_sites(out)
     if not include_branches:
         envelope &= (1 << netlist.n_nets) - 1  # the stems' ids
-    return netlist.sites_of(envelope)
+    return envelope
 
 
 def flip_criticality(
@@ -92,78 +86,3 @@ def flip_criticality(
     flipped = (base_values[site.net] ^ mask) & mask
     changed = resimulate_with_overrides(netlist, base_values, {site: flipped}, mask)
     return changed_outputs(netlist, changed, base_values, mask)
-
-
-def _scalar_values(values: Mapping[str, int], pattern_index: int) -> dict[str, int]:
-    bit = pattern_index
-    return {net: (vec >> bit) & 1 for net, vec in values.items()}
-
-
-def cpt_trace(
-    netlist: Netlist,
-    patterns: PatternSet,
-    base_values: Mapping[str, int],
-    pattern_index: int,
-    output: str,
-) -> set[str]:
-    """Classic gate-level critical path tracing from one output.
-
-    Returns nets critical for ``output`` under the given pattern.  Tracing
-    proceeds backward through gate criticality rules inside fanout-free
-    regions; each fanout stem encountered is resolved by an exact flip
-    check (the textbook stem-analysis step).
-
-    Soundness: every net returned truly flips the output when flipped
-    (inside an FFR the path to the stem is unique, and stems are verified
-    by simulation).  Completeness is the classic CPT limitation: a net
-    sensitized only through *multiple simultaneously flipping branches* of
-    a non-critical stem is missed.  :func:`flip_criticality` is the exact
-    (and still cheap, bit-parallel) alternative and is what the diagnosis
-    pipeline uses; ``cpt_trace`` is retained as the classical reference
-    algorithm for the ablation study.
-    """
-    scalar = _scalar_values(base_values, pattern_index)
-    critical: set[str] = set()
-    stack = [output]
-    checked_stems: dict[str, bool] = {}
-
-    while stack:
-        net = stack.pop()
-        if net in critical:
-            continue
-        critical.add(net)
-        gate = netlist.gates.get(net)
-        if gate is None:
-            continue
-        for src in _critical_inputs(gate, scalar):
-            if netlist.fanout_count(src) > 1:
-                # Stem: exact single-pattern flip check (memoized per stem).
-                if src not in checked_stems:
-                    changed = resimulate_with_overrides(
-                        netlist, scalar, {Site(src): scalar[src] ^ 1}, 1
-                    )
-                    checked_stems[src] = output in changed
-                if checked_stems[src]:
-                    stack.append(src)
-            else:
-                stack.append(src)
-    return critical
-
-
-def _critical_inputs(gate, scalar: Mapping[str, int]) -> list[str]:
-    """Gate-local criticality: input *nets* whose single flip inverts the output.
-
-    Exact by construction (re-evaluates the gate with the net inverted on
-    every pin it drives, so duplicated inputs are handled correctly).
-    """
-    base_ins = [scalar[src] for src in gate.inputs]
-    base_out = eval2(gate.kind, base_ins, 1)
-    crit: list[str] = []
-    for src in dict.fromkeys(gate.inputs):
-        flipped = [
-            value ^ 1 if name == src else value
-            for name, value in zip(gate.inputs, base_ins)
-        ]
-        if eval2(gate.kind, flipped, 1) != base_out:
-            crit.append(src)
-    return crit

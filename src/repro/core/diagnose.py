@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro._bits import popcount
 from repro.circuit.netlist import Netlist, Site
 from repro.core.backtrace import candidate_sites
 from repro.core.budget import Budget
@@ -232,11 +233,11 @@ class Diagnoser:
                 base_values = sim_context(self.netlist, patterns).base
             with t.span("backtrace") as sp_backtrace:
                 if cfg.engine == "pertest":
-                    sites = candidate_sites(
+                    envelope = candidate_sites(
                         self.netlist, datalog, cfg.include_branches, budget=budget
                     )
                 else:
-                    sites = candidate_sites(
+                    envelope = candidate_sites(
                         self.netlist, datalog, cfg.include_branches
                     )
             started = root.start
@@ -250,9 +251,7 @@ class Diagnoser:
                     extras,
                     stage_stats,
                     optimality,
-                ) = self._run_pertest(
-                    patterns, datalog, sites, base_values, budget, t
-                )
+                ) = self._run_pertest(patterns, datalog, envelope, budget, t)
             else:
                 evidence, multiplet_sets, uncovered, stage_stats = self._run_xcover(
                     patterns, datalog, base_values, budget, t
@@ -378,7 +377,7 @@ class Diagnoser:
                 "seconds_refine": t_refine - t_cover,
                 "n_failing_patterns": float(len(datalog.failing_indices)),
                 "n_fail_atoms": float(datalog.n_fail_atoms),
-                "n_candidate_space": float(len(sites)),
+                "n_candidate_space": float(popcount(envelope)),
                 "n_min_covers": float(len(multiplet_sets)),
                 **stage_stats,
             }
@@ -445,12 +444,12 @@ class Diagnoser:
     # -- engines -----------------------------------------------------------------
 
     def _run_pertest(
-        self, patterns, datalog, sites, base_values, budget=None, tracer=NULL_TRACER
+        self, patterns, datalog, envelope, budget=None, tracer=NULL_TRACER
     ):
         cfg = self.config
         with tracer.span("pertest"):
             analysis = build_pertest(
-                self.netlist, patterns, datalog, sites, base_values, budget=budget
+                self.netlist, patterns, datalog, envelope, budget=budget
             )
         with tracer.span("cover"):
             solution = greedy_pertest_cover(

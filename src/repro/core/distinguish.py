@@ -25,30 +25,15 @@ from typing import Callable, Mapping
 
 from repro._rng import make_rng
 from repro.circuit.netlist import Netlist, Site
+from repro.core.backtrace import flip_criticality
 from repro.core.diagnose import DiagnosisConfig, Diagnoser
 from repro.core.report import DiagnosisReport
-from repro.sim.cache import active_context, sim_context
-from repro.sim.event import changed_outputs, resimulate_with_overrides
+from repro.sim.cache import sim_context
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
 #: Device oracle: given patterns, return per-output response vectors.
 DeviceOracle = Callable[[PatternSet], Mapping[str, int]]
-
-
-def _flip_signature(
-    netlist: Netlist,
-    patterns: PatternSet,
-    site: Site,
-    base_values: Mapping[str, int],
-) -> dict[str, int]:
-    ctx = active_context(netlist, patterns, base_values)
-    if ctx is not None:
-        return dict(ctx.flip_signature(site))
-    mask = patterns.mask
-    flipped = (base_values[site.net] ^ mask) & mask
-    changed = resimulate_with_overrides(netlist, base_values, {site: flipped}, mask)
-    return changed_outputs(netlist, changed, base_values, mask)
 
 
 def distinguishing_pattern(
@@ -69,8 +54,8 @@ def distinguishing_pattern(
     for _ in range(max_batches):
         patterns = PatternSet.random(netlist, batch, rng)
         base = sim_context(netlist, patterns).base
-        sig_a = _flip_signature(netlist, patterns, site_a, base)
-        sig_b = _flip_signature(netlist, patterns, site_b, base)
+        sig_a = flip_criticality(netlist, patterns, site_a, base)
+        sig_b = flip_criticality(netlist, patterns, site_b, base)
         difference = 0
         for out in set(sig_a) | set(sig_b):
             difference |= sig_a.get(out, 0) ^ sig_b.get(out, 0)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.circuit.netlist import Netlist, Site
+from repro.core.backtrace import flip_criticality
 from repro.core.report import Candidate, DiagnosisReport
-from repro.sim.cache import active_context, sim_context
-from repro.sim.event import changed_outputs, resimulate_with_overrides
+from repro.sim.cache import sim_context
 from repro.sim.patterns import PatternSet
 
 
@@ -34,14 +34,7 @@ def flip_signature(
     base_values: Mapping[str, int],
 ) -> tuple[tuple[str, int], ...]:
     """Canonical hashable single-flip signature of a site."""
-    ctx = active_context(netlist, patterns, base_values)
-    if ctx is not None:
-        return tuple(sorted(ctx.flip_signature(site).items()))
-    mask = patterns.mask
-    flipped = (base_values[site.net] ^ mask) & mask
-    changed = resimulate_with_overrides(netlist, base_values, {site: flipped}, mask)
-    diff = changed_outputs(netlist, changed, base_values, mask)
-    return tuple(sorted(diff.items()))
+    return tuple(sorted(flip_criticality(netlist, patterns, site, base_values).items()))
 
 
 def signature_classes(

@@ -93,18 +93,14 @@ def conflict_pool(
     analysis: PerTestAnalysis, seed_sites: Sequence[Site] = ()
 ) -> list[Site]:
     """The structural candidate pool of the failing patterns: seeds first,
-    then every analysis site inside some failing pattern's failing-output
-    fan-in cone, in :class:`~repro.core.pertest.Evidence` order (its
-    reproduced fail atoms, then its name)."""
-    datalog = analysis.datalog
-    cones = [
-        analysis.netlist.fanin_cone(datalog.failing_outputs_of(idx))
-        for idx in datalog.failing_indices
-    ]
-    ranked = sorted(
-        (s for s in analysis.sites if any(s.net in cone for cone in cones)),
-        key=analysis.evidence.key,
-    )
+    then every analysis site, in :class:`~repro.core.pertest.Evidence`
+    order (its reproduced fail atoms, then its name).
+
+    Every analysis site lies inside some failing pattern's failing-output
+    fan-in cone: the envelope is the union of those cones' sites (a
+    branch enters it only when its reading gate, and so its net, is in
+    such a cone), and a budget cut only shrinks it."""
+    ranked = sorted(analysis.sites, key=analysis.evidence.key)
     swept = set(analysis.sites)
     pool = [s for s in dict.fromkeys(seed_sites) if s in swept]
     seen = set(pool)

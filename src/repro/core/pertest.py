@@ -27,13 +27,15 @@ die's single-flip questions cost big-int operations over the strobes of
 its failing patterns, not a pass over its candidates: the exact
 singletons of failing pattern ``t`` are the candidates in every failing
 output's bitset and in no other non-X output's, and the reproducers of a
-fail atom are its strobe's bitset.  A candidate the index has not seen
-yet is flipped once, for every later die on the same circuit and test
-set.  Joint diffs are masked to the die's failing patterns -- passing
-patterns carry no per-test information (every multiplet trivially
-"explains" them with the all-pins assignment), and patterns simulate
-independently, so the masked diff is exactly what simulating the failing
-patterns alone would give.
+fail atom are its strobe's bitset.  The candidates come as the die's
+envelope, a bitset over the same site ids
+(:func:`~repro.core.backtrace.candidate_sites`); a candidate the index
+has not seen yet is flipped once, for every later die on the same
+circuit and test set.  Joint diffs are masked to the die's failing
+patterns -- passing patterns carry no per-test information (every
+multiplet trivially "explains" them with the all-pins assignment), and
+patterns simulate independently, so the masked diff is exactly what
+simulating the failing patterns alone would give.
 
 Relationship to the X-cover stage: X injection is the sound
 over-approximation (necessary condition) used to prune the candidate
@@ -132,8 +134,8 @@ class PerTestAnalysis:
 
     @cached_property
     def exact_singletons(self) -> dict[int, tuple[Site, ...]]:
-        """Failing pattern -> sites whose lone flip reproduces it, in
-        ``sites`` order."""
+        """Failing pattern -> sites whose lone flip reproduces it, in id
+        order."""
         view = self._view
         return {idx: view.sites_in(bits) for idx, bits in self._singleton_bits.items()}
 
@@ -240,44 +242,41 @@ def build_pertest(
     netlist: Netlist,
     patterns: PatternSet,
     datalog: Datalog,
-    sites: Sequence[Site],
-    base_values: Mapping[str, int] | None = None,
+    envelope: int,
+    *,
     budget: Budget | None = None,
 ) -> PerTestAnalysis:
-    """Exact singleton matches and per-site fail atoms for ``sites``.
+    """Exact singleton matches and per-site fail atoms for the sites of
+    ``envelope``, a bitset over the netlist's site ids from
+    :func:`~repro.core.backtrace.candidate_sites`.
 
-    The candidates are swept into the shared context's flip index (a
+    The envelope is swept into the shared context's flip index (a
     ``pertest.index`` trace span, whose ``new_sites`` counts the sites the
     index had not seen), and the die's questions are then answered from
     it: per failing pattern, the candidates whose lone flip toggles exactly
-    its failing outputs among its non-X strobes, in ``sites`` order; per
-    fail atom, the candidates whose flip toggles it.  A candidate envelope
-    from :func:`~repro.core.backtrace.candidate_sites` is swept as its
-    bitset, visiting only the sites the index has not seen.
+    its failing outputs among its non-X strobes, in id order; per fail
+    atom, the candidates whose flip toggles it.
 
-    ``base_values`` (full-test-set fault-free values) is accepted for API
-    symmetry; the flips are read from the shared context's own base.
-
-    Under a ``budget`` the sweep is checked before each site and charges
-    one expansion per site (each costs at most one cone-restricted
-    resimulation), whether or not the index already holds it, so anytime
-    truncation points stay deterministic across cache states.  On
-    exhaustion the analysis covers only the sites swept so far and a
-    ``pertest`` truncation is recorded.
+    Under a ``budget`` the sweep goes in id order, is checked before each
+    site and charges one expansion per site (each costs at most one
+    cone-restricted resimulation), whether or not the index already holds
+    it, so anytime truncation points stay deterministic across cache
+    states.  On exhaustion the analysis covers only the sites swept so
+    far and a ``pertest`` truncation is recorded.
     """
-    del base_values
     ctx = sim_context(netlist, patterns)
     stop = None
     if budget is not None:
+        total = popcount(envelope)
 
         def stop(done: int) -> bool:
-            if done and budget.stop("pertest", done, len(sites)):
+            if done and budget.stop("pertest", done, total):
                 return True
             budget.charge()
             return False
 
     with trace_span("pertest.index") as span:
-        index = ctx.flip_index(sites, stop)
+        index = ctx.flip_index(envelope, stop)
         if span is not None:
             span.meta = {"new_sites": index.added}
     failing = datalog.failing_indices
@@ -320,7 +319,9 @@ class Evidence:
     """
 
     def __init__(self, analysis: PerTestAnalysis):
-        numbering = analysis._ctx.netlist  # the netlist that numbered the sites
+        # The context's netlist owns the Site objects the view hands out,
+        # so its id table hits on identity.
+        numbering = analysis._ctx.netlist
         self._ids = numbering.site_ids
         self._names = names = numbering.site_name_ranks()
         self._reproducers = reproducers = analysis._reproducers

@@ -46,7 +46,7 @@ def diagnose_single_fault(
     counter = MatchCounter.of_datalog(datalog)
 
     scored: list[tuple[float, Hypothesis]] = []
-    for site in candidate_sites(netlist, datalog, include_branches):
+    for site in netlist.sites_of(candidate_sites(netlist, datalog, include_branches)):
         for value in (0, 1):
             diff = defect_output_diff(
                 netlist, patterns, StuckAtDefect(site, value), base_values

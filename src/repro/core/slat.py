@@ -57,7 +57,7 @@ def diagnose_slat(
     # Per-test exact matching: fault f explains pattern t iff its predicted
     # failing outputs at t equal the observed failing outputs at t.
     explains: dict[StuckAtDefect, set[int]] = {}
-    for site in candidate_sites(netlist, datalog, include_branches):
+    for site in netlist.sites_of(candidate_sites(netlist, datalog, include_branches)):
         for value in (0, 1):
             fault = StuckAtDefect(site, value)
             diff = defect_output_diff(netlist, patterns, fault, base_values)

@@ -21,7 +21,7 @@ restricted for the single-site case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.circuit.gates import tv_all_x, tv_xmask
 from repro.circuit.netlist import Netlist, Site
@@ -103,7 +103,6 @@ def build_xcover(
     datalog: Datalog,
     include_branches: bool = True,
     base_values: Mapping[str, int] | None = None,
-    restrict_sites: Sequence[Site] | None = None,
     budget: Budget | None = None,
 ) -> XCoverAnalysis:
     """Run the per-site X analysis over the structural candidate envelope.
@@ -122,10 +121,9 @@ def build_xcover(
     else:
         # Memoized X reach is only valid against the context's own base.
         ctx = active_context(netlist, patterns, base_values)
-    if restrict_sites is None:
-        sites = candidate_sites(netlist, datalog, include_branches, budget=budget)
-    else:
-        sites = list(restrict_sites)
+    sites = netlist.sites_of(
+        candidate_sites(netlist, datalog, include_branches, budget=budget)
+    )
     atoms = frozenset(datalog.fail_atoms())
 
     reach: dict[Site, dict[str, int]] = {}

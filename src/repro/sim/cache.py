@@ -28,7 +28,9 @@ once and memoizes:
   bitset over site ids per ``(pattern, output)`` strobe, so a die's
   per-test question -- which candidates' lone flip reproduces exactly
   this pattern's failing outputs -- is a few big-int ANDs over the
-  strobes of its failing patterns (:meth:`SimContext.flip_index`).
+  strobes of its failing patterns.  A die's candidate envelope is a
+  bitset over the same ids, and sweeping it in flips only the sites the
+  index has not seen (:meth:`SimContext.flip_index`).
 
 Contexts are registered in a bounded LRU keyed by *content* fingerprints
 (netlist hash, pattern-set hash), so campaign trials that share a circuit
@@ -44,11 +46,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict, defaultdict
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from repro._bits import bit_positions, tally
 from repro.circuit.gates import eval2
-from repro.circuit.netlist import Netlist, Site, SiteList
+from repro.circuit.netlist import Netlist, Site
 from repro.errors import SimulationError
 from repro.obs.trace import trace_event
 from repro.sim.compile import COUNTERS, active_kernels, base_slots, reset_kernel_cache
@@ -321,24 +323,24 @@ class SimContext:
 
     def flip_index(
         self,
-        sites: Sequence[Site],
+        envelope: int,
         stop: Callable[[int], bool] | None = None,
     ) -> "FlipView":
-        """Index the flips of ``sites`` in order; a view answering over them.
+        """Index the flips of the sites in ``envelope``; a view answering
+        over them.
 
-        A site not yet in the context's flip index costs one
-        :meth:`flip_signature` (a memo hit when an earlier stage or die
-        already flipped it), transposed into the index once.  ``stop(done)``
-        is asked before each site, and when it answers true the view covers
-        only the first ``done`` sites.  Any site :meth:`Netlist.validate_site
-        <repro.circuit.netlist.Netlist.validate_site>` accepts works.
-
-        With no ``stop``, a :class:`~repro.circuit.netlist.SiteList` of the
-        context's netlist (a candidate envelope) is read as its bitset: the
-        sweep visits only ``envelope & ~indexed``, the sites the index has
-        not seen, and the view answers in id order, which is the list's
-        order, so a warm envelope costs no per-site work.  Any other
-        sweep costs one site-id lookup per site.
+        ``envelope`` is a bitset over the netlist's :attr:`site ids
+        <repro.circuit.netlist.Netlist.site_ids>`, such as a candidate
+        envelope from :func:`~repro.core.backtrace.candidate_sites` -- of
+        this netlist or of any structurally equal one, whose ids are the
+        same.  It is swept in id order, and a site not yet in the
+        context's flip index costs one :meth:`flip_signature` (a memo hit
+        when an earlier stage or die already flipped it), transposed into
+        the index once.  Without ``stop`` the sweep visits only
+        ``envelope & ~indexed``, so a warm envelope costs no per-site
+        work.  With ``stop``, ``stop(done)`` is asked before each of the
+        envelope's sites, indexed or not, and when it answers true the
+        view covers only the ``done`` sites of the lowest ids.
         """
         index = self._index
         if index is None:
@@ -346,25 +348,16 @@ class SimContext:
                 if self._index is None:
                     self._index = _FlipIndex(self.netlist)
                 index = self._index
-        netlist = self.netlist
+        by_id = self.netlist.sites_by_id
         added = 0
-        if stop is None and isinstance(sites, SiteList) and sites.netlist is netlist:
-            envelope = sites.mask
-            if envelope is not None:
-                for sid in bit_positions(envelope & ~index.indexed):
-                    site = netlist.sites_by_id[sid]
-                    added += index.add(sid, self.flip_signature(site))
-                return FlipView(index, netlist, tuple(sites), added, envelope=envelope)
-        swept: list[int] = []
-        for done, site in enumerate(sites):
+        todo = envelope if stop is not None else envelope & ~index.indexed
+        for done, sid in enumerate(bit_positions(todo)):
             if stop is not None and stop(done):
-                sites = sites[:done]
+                envelope &= (1 << sid) - 1
                 break
-            sid = netlist.site_id(site)
             if not index.indexed >> sid & 1:
-                added += index.add(sid, self.flip_signature(site))
-            swept.append(sid)
-        return FlipView(index, netlist, tuple(sites), added, ids=swept)
+                added += index.add(sid, self.flip_signature(by_id[sid]))
+        return FlipView(index, self.netlist, envelope, added)
 
     def x_reach(self, site: Site) -> dict[str, int]:
         """Memoized :func:`~repro.sim.threeval.x_injection_reach` at
@@ -453,42 +446,27 @@ class _FlipIndex:
 
 
 class FlipView:
-    """One candidate list's window onto a context's flip index.
+    """One envelope's window onto a context's flip index.
 
-    Built by :meth:`SimContext.flip_index`: ``sites`` is the swept
-    candidate list, ``mask`` their bitset over the netlist's site ids and
-    ``added`` how many of them the index took in new.  Answers come as
-    sites in ``sites`` order, or as bitsets over site ids for a caller
-    that ranks them (:meth:`explainer_bits`, :meth:`sites_in`,
-    :meth:`numbered`).
+    Built by :meth:`SimContext.flip_index`: ``mask`` is the swept
+    envelope, a bitset over the netlist's site ids, and ``added`` how
+    many of its sites the index took in new.  Answers come as sites in id
+    order, or as bitsets over site ids for a caller that ranks them
+    (:meth:`explainer_bits`, :meth:`sites_in`, :meth:`numbered`).
     """
 
-    __slots__ = ("sites", "mask", "added", "_index", "_netlist", "_rank")
+    __slots__ = ("mask", "added", "_index", "_netlist")
 
-    def __init__(
-        self,
-        index: _FlipIndex,
-        netlist: Netlist,
-        sites: tuple[Site, ...],
-        added: int,
-        envelope: int | None = None,
-        ids: Sequence[int] = (),
-    ):
-        self.sites = sites
+    def __init__(self, index: _FlipIndex, netlist: Netlist, mask: int, added: int):
+        self.mask = mask
         self.added = added
         self._index = index
         self._netlist = netlist
-        if envelope is not None:
-            # ``sites`` is the envelope itself, in id order.
-            self.mask = envelope
-            self._rank: dict[int, int] | None = None
-        else:
-            mask = 0
-            for sid in ids:
-                mask |= 1 << sid
-            self.mask = mask
-            #: site id -> its first position in ``sites``
-            self._rank = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+
+    @property
+    def sites(self) -> tuple[Site, ...]:
+        """The swept sites, in id order."""
+        return tuple(self._netlist.sites_of(self.mask))
 
     def explainer_bits(
         self, pattern: int, failing: Iterable[str], unknown: Iterable[str] = ()
@@ -510,7 +488,7 @@ class FlipView:
     def explainers(
         self, pattern: int, failing: Iterable[str], unknown: Iterable[str] = ()
     ) -> tuple[Site, ...]:
-        """:meth:`explainer_bits` as sites, in ``sites`` order."""
+        """:meth:`explainer_bits` as sites, in id order."""
         return self.sites_in(self.explainer_bits(pattern, failing, unknown))
 
     def reproducers(self, strobes: Iterable[tuple[int, str]]) -> "Reproducers":
@@ -529,24 +507,15 @@ class FlipView:
         return Reproducers(self._netlist.site_ids, bits)
 
     def sites_in(self, bits: int) -> tuple[Site, ...]:
-        """The swept sites of the bitset ``bits``, in ``sites`` order."""
-        rank = self._rank
-        if rank is None:
-            by_id = self._netlist.sites_by_id
-            return tuple(by_id[sid] for sid in bit_positions(bits))
-        sites = self.sites
-        positions = sorted(rank[sid] for sid in bit_positions(bits))
-        return tuple(sites[pos] for pos in positions)
+        """The sites of the bitset ``bits``, in id order."""
+        by_id = self._netlist.sites_by_id
+        return tuple(by_id[sid] for sid in bit_positions(bits))
 
     def numbered(self, bits: int) -> list[tuple[int, Site]]:
-        """``(id, site)`` for each swept site of the bitset ``bits``, in
-        id order."""
+        """``(id, site)`` for each site of the bitset ``bits``, in id
+        order."""
         ids = bit_positions(bits)
-        rank = self._rank
-        if rank is None:
-            return list(zip(ids, map(self._netlist.sites_by_id.__getitem__, ids)))
-        sites = self.sites
-        return [(sid, sites[rank[sid]]) for sid in ids]
+        return list(zip(ids, map(self._netlist.sites_by_id.__getitem__, ids)))
 
 
 class Reproducers:

@@ -1,12 +1,11 @@
-"""Structural candidate extraction and critical path tracing."""
+"""Structural candidate extraction and single-site criticality."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.circuit.generators import random_dag
 from repro.circuit.library import load_circuit
-from repro.circuit.netlist import Site
-from repro.core.backtrace import candidate_sites, cpt_trace, flip_criticality
+from repro.core.backtrace import candidate_sites, flip_criticality
 from repro.core.budget import CAUSE_EXPANSIONS, Budget
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
@@ -15,10 +14,14 @@ from repro.tester.datalog import Datalog, FailRecord
 from tests.test_properties import circuits
 
 
+def _sites(netlist, datalog, **kwargs):
+    return netlist.sites_of(candidate_sites(netlist, datalog, **kwargs))
+
+
 class TestCandidateSites:
     def test_envelope_is_union_of_cones(self, c17_netlist):
         datalog = Datalog("c17", 4, [FailRecord(1, frozenset({"22"}))])
-        sites = candidate_sites(c17_netlist, datalog)
+        sites = _sites(c17_netlist, datalog)
         nets = {s.net for s in sites}
         assert nets == c17_netlist.fanin_cone(["22"])
 
@@ -28,12 +31,12 @@ class TestCandidateSites:
             4,
             [FailRecord(0, frozenset({"22"})), FailRecord(2, frozenset({"23"}))],
         )
-        nets = {s.net for s in candidate_sites(c17_netlist, datalog)}
+        nets = {s.net for s in _sites(c17_netlist, datalog)}
         assert nets == c17_netlist.fanin_cone(["22", "23"])
 
     def test_branch_sites_inside_envelope_only(self, c17_netlist):
         datalog = Datalog("c17", 4, [FailRecord(1, frozenset({"22"}))])
-        sites = candidate_sites(c17_netlist, datalog)
+        sites = _sites(c17_netlist, datalog)
         for site in sites:
             if site.branch:
                 assert site.branch[0] in c17_netlist.fanin_cone(["22"])
@@ -42,13 +45,13 @@ class TestCandidateSites:
         datalog = Datalog("c17", 4, [FailRecord(1, frozenset({"22"}))])
         assert all(
             s.is_stem
-            for s in candidate_sites(c17_netlist, datalog, include_branches=False)
+            for s in _sites(c17_netlist, datalog, include_branches=False)
         )
 
     def test_deterministic_order(self, c17_netlist):
         datalog = Datalog("c17", 4, [FailRecord(1, frozenset({"22", "23"}))])
-        a = candidate_sites(c17_netlist, datalog)
-        b = candidate_sites(c17_netlist, datalog)
+        a = _sites(c17_netlist, datalog)
+        b = _sites(c17_netlist, datalog)
         assert a == b
 
 
@@ -103,11 +106,12 @@ def test_bitset_envelope_is_the_set_union(netlist, data):
     include_branches = data.draw(st.booleans())
     kept = data.draw(st.integers(1, n_records))
     budget = _CutAfter(kept - 1)
-    sites = candidate_sites(netlist, datalog, include_branches, budget=budget)
+    envelope = candidate_sites(netlist, datalog, include_branches, budget=budget)
     expected = _set_union_envelope(netlist, records[:kept], include_branches)
+    assert envelope == sum(1 << netlist.site_ids[site] for site in expected)
+    sites = netlist.sites_of(envelope)
     assert sites == expected
     assert all(a is b for a, b in zip(sites, expected))
-    assert sites.mask == sum(1 << netlist.site_ids[site] for site in expected)
     assert [t.done for t in budget.truncations] == ([kept] if kept < n_records else [])
 
 
@@ -134,53 +138,3 @@ class TestFlipCriticality:
                     want = flipped[out] != golden[out]
                     got = bool(crit.get(out, 0) >> i & 1)
                     assert got == want, (site, i, out)
-
-
-class TestCptTrace:
-    @pytest.mark.parametrize("seed", [1, 3, 8])
-    def test_sound_subset_of_flip_criticality(self, seed):
-        """Every CPT-traced net truly flips the output (soundness).
-
-        Completeness is NOT asserted: classic CPT misses multiple-path
-        sensitization through non-critical stems -- the documented
-        limitation that motivates the exact flip-based engine.
-        """
-        n = random_dag(40, n_inputs=6, n_outputs=3, seed=seed)
-        pats = PatternSet.random(n, 6, seed=seed)
-        base = simulate(n, pats)
-        for out in n.outputs:
-            for i in range(pats.n):
-                traced = cpt_trace(n, pats, base, i, out)
-                exact = {out}
-                for net in n.nets():
-                    if net == out:
-                        continue
-                    crit = flip_criticality(n, pats, Site(net), base)
-                    if crit.get(out, 0) >> i & 1:
-                        exact.add(net)
-                assert traced <= exact, (out, i, traced - exact)
-
-    def test_exact_on_tree_circuits(self):
-        """On fanout-free circuits CPT is complete as well."""
-        from repro.circuit.generators import parity_tree
-
-        n = parity_tree(8)
-        pats = PatternSet.random(n, 8, seed=2)
-        base = simulate(n, pats)
-        out = n.outputs[0]
-        for i in range(pats.n):
-            traced = cpt_trace(n, pats, base, i, out)
-            exact = {out}
-            for net in n.nets():
-                if net == out:
-                    continue
-                crit = flip_criticality(n, pats, Site(net), base)
-                if crit.get(out, 0) >> i & 1:
-                    exact.add(net)
-            assert traced == exact, (out, i)
-
-    def test_critical_nets_include_output(self, c17_netlist):
-        pats = PatternSet.exhaustive(c17_netlist)
-        base = simulate(c17_netlist, pats)
-        traced = cpt_trace(c17_netlist, pats, base, 0, "22")
-        assert "22" in traced

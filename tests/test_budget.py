@@ -168,16 +168,17 @@ class TestStageBoundaries:
             ],
         )
         budget = spent_budget()
-        partial = candidate_sites(rca6, log, budget=budget)
-        full = candidate_sites(rca6, log)
+        partial = rca6.sites_of(candidate_sites(rca6, log, budget=budget))
+        full = rca6.sites_of(candidate_sites(rca6, log))
         assert 0 < len(partial) < len(full)
         assert [t.stage for t in budget.truncations] == ["backtrace"]
         assert {s.net for s in partial} == rca6.fanin_cone(["sum0"])
 
     def test_pertest_sweeps_one_site_then_stops(self, rca6, pats, datalog):
-        sites = candidate_sites(rca6, datalog)
+        envelope = candidate_sites(rca6, datalog)
+        sites = rca6.sites_of(envelope)
         budget = spent_budget()
-        analysis = build_pertest(rca6, pats, datalog, sites, budget=budget)
+        analysis = build_pertest(rca6, pats, datalog, envelope, budget=budget)
         assert len(analysis.sites) == 1
         assert analysis.sites[0] == sites[0]
         trunc = budget.truncations[0]
@@ -191,8 +192,8 @@ class TestStageBoundaries:
         assert [t.stage for t in budget.truncations] == ["backtrace", "xcover"]
 
     def test_cover_enumeration_is_prefix_consistent(self, rca6, pats, datalog):
-        sites = candidate_sites(rca6, datalog)
-        analysis = build_pertest(rca6, pats, datalog, sites)
+        envelope = candidate_sites(rca6, datalog)
+        analysis = build_pertest(rca6, pats, datalog, envelope)
         solution = greedy_pertest_cover(analysis)
         seeds = solution.sites + solution.pair_candidates
         full = enumerate_pertest_min_covers(analysis, seed_sites=seeds, max_size=3)

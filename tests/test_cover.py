@@ -26,8 +26,8 @@ def _setup(netlist, patterns, defects):
     result = apply_test(netlist, patterns, defects)
     assert result.device_fails
     base = simulate(netlist, patterns)
-    sites = candidate_sites(netlist, result.datalog)
-    pt = build_pertest(netlist, patterns, result.datalog, sites, base)
+    envelope = candidate_sites(netlist, result.datalog)
+    pt = build_pertest(netlist, patterns, result.datalog, envelope)
     xc = build_xcover(netlist, patterns, result.datalog, base_values=base)
     return result, pt, xc
 
@@ -79,9 +79,8 @@ class TestGreedyPerTest:
         pats = PatternSet.from_vectors(n.inputs, [(0, 0), (0, 1), (1, 0), (1, 1)])
         defects = [StuckAtDefect(Site("x"), 1), StuckAtDefect(Site("y"), 1)]
         result = apply_test(n, pats, defects)
-        base = simulate(n, pats)
-        sites = candidate_sites(n, result.datalog)
-        pt = build_pertest(n, pats, result.datalog, sites, base)
+        envelope = candidate_sites(n, result.datalog)
+        pt = build_pertest(n, pats, result.datalog, envelope)
         # Pattern (0,0) fails only because BOTH x and y are forced to 1.
         assert (0, "z") in pt.atoms
         solution = greedy_pertest_cover(pt)
@@ -104,8 +103,7 @@ class TestEnumeratePerTest:
 
     def test_empty_for_passing_device(self, rca6, pats):
         result = apply_test(rca6, pats, [])
-        base = simulate(rca6, pats)
-        pt = build_pertest(rca6, pats, result.datalog, [], base)
+        pt = build_pertest(rca6, pats, result.datalog, 0)
         assert enumerate_pertest_min_covers(pt) == []
 
 
@@ -152,9 +150,7 @@ def _three_islands_pertest():
     ]
     result = apply_test(n, pats, defects)
     assert result.device_fails
-    base = simulate(n, pats)
-    sites = candidate_sites(n, result.datalog)
-    return build_pertest(n, pats, result.datalog, sites, base)
+    return build_pertest(n, pats, result.datalog, candidate_sites(n, result.datalog))
 
 
 class TestSizeCapRegression:
@@ -229,23 +225,9 @@ class TestBudgetAccounting:
 
 
 class TestDeterminismAndEdges:
-    def test_greedy_pertest_tiebreak_site_order_independent(self, rca6, pats):
-        result = apply_test(rca6, pats, [StuckAtDefect(Site("b1"), 1)])
-        base = simulate(rca6, pats)
-        sites = candidate_sites(rca6, result.datalog)
-        forward = build_pertest(rca6, pats, result.datalog, sites, base)
-        backward = build_pertest(
-            rca6, pats, result.datalog, list(reversed(sites)), base
-        )
-        assert (
-            greedy_pertest_cover(forward).sites
-            == greedy_pertest_cover(backward).sites
-        )
-
     def test_enumerate_pertest_empty_pool(self, rca6, pats):
         """A failing device with no candidate sites enumerates to no
         covers instead of crashing."""
         result = apply_test(rca6, pats, [StuckAtDefect(Site("b1"), 1)])
-        base = simulate(rca6, pats)
-        pt = build_pertest(rca6, pats, result.datalog, [], base)
+        pt = build_pertest(rca6, pats, result.datalog, 0)
         assert enumerate_pertest_min_covers(pt) == []

@@ -21,7 +21,6 @@ from repro.core.pertest import build_pertest
 from repro.core.report import DiagnosisReport
 from repro.errors import DiagnosisError
 from repro.faults.models import StuckAtDefect
-from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.tester.harness import apply_test
 
@@ -29,9 +28,8 @@ from repro.tester.harness import apply_test
 def _analysis(netlist, patterns, defects):
     result = apply_test(netlist, patterns, defects)
     assert result.device_fails
-    base = simulate(netlist, patterns)
-    sites = candidate_sites(netlist, result.datalog)
-    return build_pertest(netlist, patterns, result.datalog, sites, base)
+    envelope = candidate_sites(netlist, result.datalog)
+    return build_pertest(netlist, patterns, result.datalog, envelope)
 
 
 def _engine_inputs(analysis):
@@ -129,8 +127,7 @@ def two_islands():
     )
     defects = [StuckAtDefect(Site("x1"), 0), StuckAtDefect(Site("x2"), 0)]
     result = apply_test(n, pats, defects)
-    sites = candidate_sites(n, result.datalog)
-    return build_pertest(n, pats, result.datalog, sites, simulate(n, pats))
+    return build_pertest(n, pats, result.datalog, candidate_sites(n, result.datalog))
 
 
 class TestTwoIslands:
@@ -162,7 +159,7 @@ class TestTwoIslands:
 class TestStatuses:
     def test_empty_failing_is_optimal(self, rca6, pats):
         result = apply_test(rca6, pats, [])
-        pt = build_pertest(rca6, pats, result.datalog, [], simulate(rca6, pats))
+        pt = build_pertest(rca6, pats, result.datalog, 0)
         hs = hitting_set_cover(pt)
         assert hs.optimality == OPTIMALITY_OPTIMAL
         assert hs.covers == ()

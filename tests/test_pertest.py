@@ -32,9 +32,8 @@ def _analysis(netlist, patterns, defects):
     result = apply_test(netlist, patterns, defects)
     if result.datalog.is_passing_device:
         pytest.skip("defects invisible to this test set")
-    base = simulate(netlist, patterns)
-    sites = candidate_sites(netlist, result.datalog)
-    return build_pertest(netlist, patterns, result.datalog, sites, base), result
+    envelope = candidate_sites(netlist, result.datalog)
+    return build_pertest(netlist, patterns, result.datalog, envelope), result
 
 
 @pytest.fixture(scope="module")
@@ -123,9 +122,8 @@ class TestMaskingPairSearch:
         # Two defects: x sa1 and y sa... choose values so some pattern needs both.
         defects = [StuckAtDefect(Site("x"), 1), StuckAtDefect(Site("y"), 1)]
         result = apply_test(n, pats, defects)
-        base = simulate(n, pats)
-        sites = candidate_sites(n, result.datalog)
-        analysis = build_pertest(n, pats, result.datalog, sites, base)
+        envelope = candidate_sites(n, result.datalog)
+        analysis = build_pertest(n, pats, result.datalog, envelope)
         # Find a failing pattern with no singleton explanation, if any;
         # on it, the pair search must produce an exact pair.
         for idx in result.datalog.failing_indices:
@@ -217,8 +215,9 @@ class _SubsetOracle:
 
 
 def _assert_single_flips_match(analysis, oracle, sites):
-    """Singletons (in ``sites`` order), atoms and per-pattern diffs of
-    every site agree with simulating the failing subset alone."""
+    """Singletons (in ``sites`` order, the id order of the envelope's
+    sites), atoms and per-pattern diffs of every site agree with
+    simulating the failing subset alone."""
     assert analysis.sites == tuple(sites)
     flips = {site: oracle.diff((site,)) for site in sites}
     assert analysis.exact_singletons == {
@@ -261,9 +260,10 @@ class TestSharedContextEquivalence:
             )
             assert datalog.n_observed < datalog.n_patterns or n_failing == 1
             assert datalog.x_atoms
-        sites = candidate_sites(netlist, datalog)
-        analysis = build_pertest(netlist, patterns, datalog, sites)
+        envelope = candidate_sites(netlist, datalog)
+        analysis = build_pertest(netlist, patterns, datalog, envelope)
         oracle = _SubsetOracle(netlist, patterns, datalog)
+        sites = netlist.sites_of(envelope)
         _assert_single_flips_match(analysis, oracle, sites)
 
         truth = sorted({s for d in defects for s in d.ground_truth_sites()})
@@ -283,11 +283,12 @@ class TestCrossDieReuse:
         netlist = load_circuit("alu8")
         patterns = PatternSet.random(netlist, 40, seed=3)
         die_a, _ = _failing_die(netlist, patterns, 1, seed=5)
-        swept_a = set(candidate_sites(netlist, die_a))
+        envelope_a = candidate_sites(netlist, die_a)
         for seed in range(6, 200):
             die_b, _ = _failing_die(netlist, patterns, 1, seed=seed)
-            if die_b != die_a and swept_a & set(candidate_sites(netlist, die_b)):
+            if die_b != die_a and envelope_a & candidate_sites(netlist, die_b):
                 break
+        swept_a = set(netlist.sites_of(envelope_a))
         diagnoser = Diagnoser(netlist)
         diagnoser.diagnose(patterns, die_a)
 
@@ -316,9 +317,23 @@ class TestCrossDieReuse:
 # -- the flip index --------------------------------------------------------------
 
 
+class _SiteHashCounter:
+    """Counts ``Site.__hash__`` calls until ``monkeypatch`` is undone."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        site_hash = Site.__hash__
+
+        def counting_hash(site):
+            self.calls += 1
+            return site_hash(site)
+
+        monkeypatch.setattr(Site, "__hash__", counting_hash)
+
+
 class TestFlipIndex:
     """The context's pattern-major flip index: the flip signatures,
-    transposed, whatever order or warmth the candidates arrive in."""
+    transposed, whatever warmth the envelope is swept in at."""
 
     @pytest.mark.parametrize("name", ["rca8", "alu8", "mul8"])
     def test_index_bits_are_the_flip_signatures(self, name):
@@ -344,75 +359,50 @@ class TestFlipIndex:
             for out, bits in zip(index.outputs, index.row(p)):
                 assert bits == expected.get((p, out), 0), (p, out)
 
-    def test_shuffled_candidates_keep_the_callers_order(self):
-        netlist = load_circuit("alu8")
-        patterns = PatternSet.random(netlist, 48, seed=2)
-        datalog, _ = _failing_die(netlist, patterns, 2, seed=62)
-        sites = candidate_sites(netlist, datalog)
-        random.Random(5).shuffle(sites)
-        analysis = build_pertest(netlist, patterns, datalog, sites)
-        _assert_single_flips_match(
-            analysis, _SubsetOracle(netlist, patterns, datalog), sites
-        )
-
-    def test_single_fanout_branch_site(self):
-        reset_sim_caches()
-        netlist = load_circuit("alu8")
-        patterns = PatternSet.random(netlist, 48, seed=2)
-        datalog, _ = _failing_die(netlist, patterns, 1, seed=31)
-        sites = candidate_sites(netlist, datalog)
-        branch = next(
-            Site(site.net, netlist.fanout(site.net)[0])
-            for site in sites
-            if site.is_stem and netlist.fanout_count(site.net) == 1
-        )
-        assert branch not in netlist.sites()
-        sites.insert(len(sites) // 2, branch)
-        analysis = build_pertest(netlist, patterns, datalog, sites)
-        _assert_single_flips_match(
-            analysis, _SubsetOracle(netlist, patterns, datalog), sites
-        )
-
     def test_budget_cut_is_independent_of_index_warmth(self):
+        """A budgeted sweep keeps the lowest ids of the envelope, and cuts
+        at the same point on a cold index and on a warm one."""
         netlist = load_circuit("alu8")
         patterns = PatternSet.random(netlist, 40, seed=3)
         die, _ = _failing_die(netlist, patterns, 2, seed=7)
-        sites = candidate_sites(netlist, die)
-        cut = len(sites) // 2
-
-        def governed():
-            budget = Budget(max_expansions=cut)
-            analysis = build_pertest(netlist, patterns, die, sites, budget=budget)
-            return budget.truncations, analysis
-
-        reset_sim_caches()
-        cold_cut, cold = governed()
-        reset_sim_caches()
+        envelope = candidate_sites(netlist, die)
+        sites = netlist.sites_of(envelope)
+        n = len(sites)
         for seed in range(8, 200):
             other, _ = _failing_die(netlist, patterns, 2, seed=seed)
             if other != die:
                 break
-        build_pertest(netlist, patterns, other, candidate_sites(netlist, other))
-        assert sim_context(netlist, patterns)._index.indexed
-        warm_cut, warm = governed()
 
-        assert len(cold_cut) == 1 and cold_cut[0].stage == "pertest"
-        assert (cold_cut[0].done, cold_cut[0].total) == (cut, len(sites))
-        assert warm_cut == cold_cut
-        assert cold.sites == warm.sites == tuple(sites[:cut])
-        assert cold.exact_singletons == warm.exact_singletons
-        for site in sites:
-            assert cold.atoms_of(site) == warm.atoms_of(site)
+        def governed(cut):
+            budget = Budget(max_expansions=cut)
+            analysis = build_pertest(netlist, patterns, die, envelope, budget=budget)
+            return budget.truncations, analysis
+
+        for cut in (1, 2, n // 3, n // 2, n - 1):
+            reset_sim_caches()
+            cold_cut, cold = governed(cut)
+            reset_sim_caches()
+            build_pertest(netlist, patterns, other, candidate_sites(netlist, other))
+            assert sim_context(netlist, patterns)._index.indexed
+            warm_cut, warm = governed(cut)
+
+            assert len(cold_cut) == 1 and cold_cut[0].stage == "pertest"
+            assert (cold_cut[0].done, cold_cut[0].total) == (cut, n)
+            assert warm_cut == cold_cut
+            assert cold.sites == warm.sites == tuple(sites[:cut])
+            assert cold.exact_singletons == warm.exact_singletons
+            for site in sites:
+                assert cold.atoms_of(site) == warm.atoms_of(site)
 
     def test_warm_die_simulates_nothing(self):
         reset_sim_caches()
         netlist = load_circuit("mul8")
         patterns = PatternSet.random(netlist, 40, seed=4)
         die, _ = _failing_die(netlist, patterns, 1, seed=9)
-        sites = candidate_sites(netlist, die)
-        build_pertest(netlist, patterns, die, sites)
+        envelope = candidate_sites(netlist, die)
+        build_pertest(netlist, patterns, die, envelope)
         before = COUNTERS.snapshot()
-        build_pertest(netlist, patterns, die, list(reversed(sites)))
+        build_pertest(netlist, patterns, die, envelope)
         delta = COUNTERS.delta(before)
         assert delta["flip_misses"] == 0
         assert delta["cone_passes"] == 0
@@ -424,26 +414,46 @@ class TestFlipIndex:
         netlist = load_circuit("mul8")
         patterns = PatternSet.random(netlist, 40, seed=4)
         die, _ = _failing_die(netlist, patterns, 1, seed=9)
-        sites = candidate_sites(netlist, die)
-        cold = build_pertest(netlist, patterns, die, sites)
+        envelope = candidate_sites(netlist, die)
+        cold = build_pertest(netlist, patterns, die, envelope)
         ctx = sim_context(netlist, patterns)
-        calls = 0
-        site_hash = Site.__hash__
-
-        def counting_hash(site):
-            nonlocal calls
-            calls += 1
-            return site_hash(site)
-
-        monkeypatch.setattr(Site, "__hash__", counting_hash)
-        view = ctx.flip_index(sites)
-        swept = calls
-        warm = build_pertest(netlist, patterns, die, sites)
+        hashes = _SiteHashCounter(monkeypatch)
+        view = ctx.flip_index(envelope)
+        swept = hashes.calls
+        warm = build_pertest(netlist, patterns, die, envelope)
         monkeypatch.undo()
-        assert swept == 0 and calls == 0
-        assert view.added == 0 and view.sites == tuple(sites)
+        assert swept == 0 and hashes.calls == 0
+        assert view.added == 0
+        assert view.sites == tuple(netlist.sites_of(envelope))
         assert warm.sites == cold.sites
         assert warm.exact_singletons == cold.exact_singletons
+
+    def test_structurally_equal_netlist_sweeps_the_bitset(self, monkeypatch):
+        """Site ids depend only on structure, so an envelope built on a
+        second instance of the circuit is swept as a bitset too: a warm
+        die through it hashes no candidate and gets the same analysis and
+        report."""
+        reset_sim_caches()
+        a, b = load_circuit("mul8"), load_circuit("mul8")
+        assert a is not b
+        assert a.sites_by_id == b.sites_by_id
+        patterns = PatternSet.random(a, 40, seed=4)
+        die, _ = _failing_die(a, patterns, 1, seed=9)
+        first = build_pertest(a, patterns, die, candidate_sites(a, die))
+        assert sim_context(b, patterns).netlist is a
+        envelope = candidate_sites(b, die)
+        hashes = _SiteHashCounter(monkeypatch)
+        second = build_pertest(b, patterns, die, envelope)
+        monkeypatch.undo()
+        assert hashes.calls == 0
+        assert second.sites == first.sites
+        assert second.exact_singletons == first.exact_singletons
+        assert second.evidence.by_frequency() == first.evidence.by_frequency()
+        for site in first.sites:
+            assert second.atoms_of(site) == first.atoms_of(site)
+        assert canonical_report_json(
+            Diagnoser(b).diagnose(patterns, die)
+        ) == canonical_report_json(Diagnoser(a).diagnose(patterns, die))
 
     def test_threads_share_one_cold_context(self):
         netlist = load_circuit("mul8")
@@ -490,10 +500,15 @@ class TestFlipIndex:
         netlist = load_circuit("mul8")
         patterns = PatternSet.random(netlist, 40, seed=6)
         rng = random.Random(8)
-        lists = [rng.sample(netlist.sites(), 200) for _ in range(4)]
+        samples = [
+            sorted(rng.sample(range(len(netlist.sites())), 200)) for _ in range(4)
+        ]
 
-        def answers(ctx, sites):
-            view = ctx.flip_index(sites)
+        def mask(ids):
+            return sum(1 << sid for sid in ids)
+
+        def answers(ctx, ids):
+            view = ctx.flip_index(mask(ids))
             return [
                 view.explainers(p, (out,))
                 for p in range(patterns.n)
@@ -501,19 +516,19 @@ class TestFlipIndex:
             ]
 
         reset_sim_caches()
-        serial = [answers(sim_context(netlist, patterns), sites) for sites in lists]
+        serial = [answers(sim_context(netlist, patterns), ids) for ids in samples]
         results: dict[int, list] = {}
 
         def work(i):
             ctx = sim_context(netlist, patterns)
-            sites = lists[i]
-            # Small sweeps, each followed by reads, so the threads' fills
-            # and folds interleave.
-            for end in range(10, len(sites) + 1, 10):
-                view = ctx.flip_index(sites[:end])
+            ids = samples[i]
+            # Small sweeps of the lowest ids, each followed by reads, so
+            # the threads' fills and folds interleave.
+            for end in range(10, len(ids) + 1, 10):
+                view = ctx.flip_index(mask(ids[:end]))
                 for p in range(patterns.n):
                     view.explainers(p, netlist.outputs[:1])
-            results[i] = answers(ctx, sites)
+            results[i] = answers(ctx, ids)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -521,14 +536,15 @@ class TestFlipIndex:
             for _round in range(3):
                 reset_sim_caches()
                 workers = [
-                    threading.Thread(target=work, args=(i,)) for i in range(len(lists))
+                    threading.Thread(target=work, args=(i,))
+                    for i in range(len(samples))
                 ]
                 for worker in workers:
                     worker.start()
                 for worker in workers:
                     worker.join(timeout=120)
                 assert not any(worker.is_alive() for worker in workers)
-                assert [results[i] for i in range(len(lists))] == serial
+                assert [results[i] for i in range(len(samples))] == serial
         finally:
             sys.setswitchinterval(interval)
 
@@ -541,7 +557,9 @@ def _atoms_then_name(analysis):
 
 
 def _reference_conflict_pool(analysis, seeds):
-    """``hitting.conflict_pool`` as a sort over every candidate."""
+    """``hitting.conflict_pool`` by its definition: seeds, then every
+    candidate inside some failing pattern's failing-output fan-in cone,
+    sorted by atoms, then name."""
     datalog = analysis.datalog
     cones = [
         analysis.netlist.fanin_cone(datalog.failing_outputs_of(idx))
@@ -567,7 +585,7 @@ class TestEvidence:
     @pytest.mark.parametrize(
         "name, k", [("rca8", 2), ("alu8", 1), ("alu8", 3), ("mul8", 1), ("mul8", 2)]
     )
-    @pytest.mark.parametrize("variant", ["envelope", "with-branch"])
+    @pytest.mark.parametrize("variant", ["envelope", "stems"])
     def test_rankings_match_the_sorted_references(self, name, k, variant):
         netlist = load_circuit(name)
         patterns = PatternSet.random(netlist, 48, seed=k)
@@ -575,15 +593,10 @@ class TestEvidence:
         ties = 0
         for seed in range(3):
             datalog, _ = _failing_die(netlist, patterns, k, seed=40 * seed + k)
-            sites = candidate_sites(netlist, datalog)
-            if variant == "with-branch":
-                branch = next(
-                    Site(site.net, netlist.fanout(site.net)[0])
-                    for site in sites
-                    if site.is_stem and netlist.fanout_count(site.net) == 1
-                )
-                sites.insert(len(sites) // 2, branch)
-            analysis = build_pertest(netlist, patterns, datalog, sites)
+            envelope = candidate_sites(
+                netlist, datalog, include_branches=variant == "envelope"
+            )
+            analysis = build_pertest(netlist, patterns, datalog, envelope)
             evidence = analysis.evidence
             by_atoms = _atoms_then_name(analysis)
 

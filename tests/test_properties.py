@@ -116,9 +116,8 @@ def test_pertest_truth_explains_all(netlist, seed, k, defect_seed):
         return
     if result.datalog.is_passing_device:
         return
-    base = simulate(netlist, patterns)
-    sites = candidate_sites(netlist, result.datalog)
-    analysis = build_pertest(netlist, patterns, result.datalog, sites, base)
+    envelope = candidate_sites(netlist, result.datalog)
+    analysis = build_pertest(netlist, patterns, result.datalog, envelope)
     truth = set()
     for d in defects:
         truth.update(d.ground_truth_sites())

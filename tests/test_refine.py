@@ -33,8 +33,8 @@ def _hypotheses(netlist, patterns, defects, site, config=None):
     result = apply_test(netlist, patterns, defects)
     assert result.device_fails
     base = simulate(netlist, patterns)
-    sites = candidate_sites(netlist, result.datalog)
-    pt = build_pertest(netlist, patterns, result.datalog, sites, base)
+    envelope = candidate_sites(netlist, result.datalog)
+    pt = build_pertest(netlist, patterns, result.datalog, envelope)
     return allocate_hypotheses(
         netlist, patterns, result.datalog, site, base, pt, config
     )
@@ -69,8 +69,8 @@ class TestStuckAllocation:
         if result.datalog.is_passing_device:
             pytest.skip("invisible branch open")
         base = simulate(rca6, pats)
-        sites = candidate_sites(rca6, result.datalog)
-        pt = build_pertest(rca6, pats, result.datalog, sites, base)
+        envelope = candidate_sites(rca6, result.datalog)
+        pt = build_pertest(rca6, pats, result.datalog, envelope)
         hyps = allocate_hypotheses(rca6, pats, result.datalog, branch, base, pt)
         concrete = [h.kind for h in hyps if h.kind != "arbitrary"]
         assert any(k.startswith("open") for k in concrete)
@@ -108,8 +108,8 @@ class TestTransitionAllocation:
         if result.datalog.is_passing_device:
             pytest.skip("no launch/capture edge in this pattern set")
         base = simulate(rca6, pats)
-        sites = candidate_sites(rca6, result.datalog)
-        pt = build_pertest(rca6, pats, result.datalog, sites, base)
+        envelope = candidate_sites(rca6, result.datalog)
+        pt = build_pertest(rca6, pats, result.datalog, envelope)
         hyps = allocate_hypotheses(rca6, pats, result.datalog, site, base, pt)
         assert hyps[0].kind in ("str", "arbitrary")
         if hyps[0].kind == "str":
@@ -178,7 +178,6 @@ class TestAggressorPool:
             patterns,
             result.datalog,
             candidate_sites(netlist, result.datalog),
-            base,
         )
         for config in (RefineConfig(), RefineConfig(bridge_level_distance=0)):
             for site in netlist.sites(include_branches=False):

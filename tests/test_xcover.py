@@ -58,13 +58,6 @@ class TestStructure:
         with pytest.raises(DiagnosisError):
             build_xcover(rca6, PatternSet.random(rca6, 8, seed=1), result.datalog)
 
-    def test_restrict_sites(self, rca6, rca6_patterns):
-        defects = [StuckAtDefect(Site("a0"), 1)]
-        result = apply_test(rca6, rca6_patterns, defects)
-        only = [Site("a0"), Site("b0")]
-        xc = build_xcover(rca6, rca6_patterns, result.datalog, restrict_sites=only)
-        assert set(xc.sites) == set(only)
-
     def test_site_atoms_subset_of_observed(self, rca6, rca6_patterns):
         defects = sample_defect_set(rca6, 2, seed=5)
         result = apply_test(rca6, rca6_patterns, defects)
