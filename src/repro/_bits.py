@@ -30,6 +30,30 @@ def _flags(bits: int) -> bytes:
     return bin(bits)[:1:-1].encode().translate(_DIGIT_FLAGS)
 
 
+def flag_list(bits: int, width: int) -> list[int]:
+    """Per position ``0 .. width - 1``, 1 where ``bits`` (below ``1 <<
+    width``) is set, else 0: the guard form a straight-line kernel
+    indexes fastest."""
+    flags = list(_flags(bits | 1 << width))
+    flags.pop()  # the bit at ``width``, set so every position has a digit
+    return flags
+
+
+def bitset(positions: Sequence[int]) -> int:
+    """The bitset with the bits at ``positions`` set (non-negative,
+    duplicates allowed).
+
+    Built in one pass over a byte buffer and read as one int, rather than
+    ORed in a position at a time, which copies the whole int per position.
+    """
+    if not positions:
+        return 0
+    buf = bytearray((max(positions) >> 3) + 1)
+    for at in positions:
+        buf[at >> 3] |= 1 << (at & 7)
+    return int.from_bytes(buf, "little")
+
+
 def select(items: Sequence[T], bits: int) -> list[T]:
     """The ``items`` at the set bits of ``bits``, in order (bits past the
     end of ``items`` are ignored)."""

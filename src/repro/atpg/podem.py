@@ -123,11 +123,10 @@ class Podem:
             entry = site.branch[0]
         else:
             self._stem = entry = site.net
-        self._cone = self.netlist.fanout_cone([entry])
-        rank, order = self._rank, self._order
         self._cone_gates = tuple(
-            order[r] for r in sorted(rank[net] for net in self._cone if net in rank)
+            self.netlist.cone_gates(self.netlist.fanout_bits([entry]))
         )
+        self._cone = frozenset(self._cone_gates).union([entry])
         if entry in self._rank:
             seeds = [self._rank[entry]]
         else:  # a primary input's stem

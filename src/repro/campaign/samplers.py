@@ -102,15 +102,16 @@ def sample_defect(
     if family == "bridge":
         victims = [s.net for s in stems]
         rng.shuffle(victims)
+        ids = netlist.net_ids
         for victim in victims[:24]:
-            cone = netlist.fanout_cone([victim])
+            cone = netlist.fanout_bits([victim])
             if placement is not None:
                 box = placement.boxes[victim]
                 partners = [
                     net
                     for net in netlist.nets()
                     if net != victim
-                    and net not in cone
+                    and not cone >> ids[net] & 1
                     and net not in used_nets
                     and box.distance(placement.boxes[net]) <= 1.0
                 ]
@@ -120,7 +121,7 @@ def sample_defect(
                     net
                     for net in netlist.nets()
                     if net != victim
-                    and net not in cone
+                    and not cone >> ids[net] & 1
                     and net not in used_nets
                     and abs(netlist.level(net) - level) <= 3
                 ]

@@ -132,10 +132,11 @@ def layout_bridge_pairs(
     """Bridge candidates from synthesized geometry instead of level proxy."""
     if placement is None:
         placement = place(netlist, seed=seed)
+    ids = netlist.net_ids
     pairs: list[BridgeDefect] = []
     for a, b in placement.adjacent_pairs(max_gap):
         for victim, aggressor in ((a, b), (b, a)):
-            if exclude_feedback and aggressor in netlist.fanout_cone([victim]):
+            if exclude_feedback and netlist.fanout_bits([victim]) >> ids[aggressor] & 1:
                 continue
             pairs.append(BridgeDefect(victim, aggressor, kind))
             if kind is not BridgeKind.DOMINANT:

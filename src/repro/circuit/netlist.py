@@ -138,9 +138,10 @@ class Netlist:
         for net in self.nets():
             by_level.setdefault(self._level[net], []).append(net)
         self._by_level = {lvl: tuple(nets) for lvl, nets in by_level.items()}
-        self._cone_cache: dict[str, frozenset[str]] = {}
+        self._net_list: tuple[str, ...] = tuple(self.nets())
+        self._net_ids = {net: i for i, net in enumerate(self._net_list)}
         self._fanin_cache: dict[frozenset[str], frozenset[str]] = {}
-        self._fanout_cache: dict[frozenset[str], frozenset[str]] = {}
+        self._cone_table: list[int] | None = None
         self._site_table: (
             tuple[dict[str, Site], dict[str, tuple[Site, ...]]] | None
         ) = None
@@ -307,10 +308,10 @@ class Netlist:
 
     # -- cones ----------------------------------------------------------------
 
-    #: Per-netlist bound on the multi-root cone memos.  Cones are memoized
-    #: by root *set*, so pathological query mixes could otherwise accumulate
+    #: Per-netlist bound on the fan-in cone memo.  Cones are memoized by
+    #: root *set*, so pathological query mixes could otherwise accumulate
     #: an unbounded number of distinct keys; on overflow the memo is simply
-    #: cleared (the per-root ``_cone_cache`` stays, so refills are cheap).
+    #: cleared.
     _CONE_MEMO_LIMIT = 4096
 
     def fanin_cone(self, roots: Iterable[str]) -> frozenset[str]:
@@ -339,63 +340,53 @@ class Netlist:
         self._fanin_cache[key] = cone
         return cone
 
+    @property
+    def net_ids(self) -> Mapping[str, int]:
+        """Each net's position in :meth:`nets`: its bit in a cone bitset
+        (:meth:`fanout_bits`) and its slot in the compiled simulation
+        program.  Read-only."""
+        return self._net_ids
+
+    def fanout_bits(self, roots: Iterable[str]) -> int:
+        """Bitset (over :attr:`net_ids`) of every net reachable *from* any
+        root, roots included.
+
+        An OR of per-net cones, tabled for every net in one
+        reverse-topological pass on first use (a net's cone is its own bit
+        ORed with its readers' cones).  The table is stored with one
+        assignment, so two threads racing on a cold netlist only repeat
+        the work.
+        """
+        table = self._cone_table
+        if table is None:
+            nets, ids, fanouts = self._net_list, self._net_ids, self._fanouts
+            table = [0] * len(nets)
+            for at in range(len(nets) - 1, -1, -1):
+                bits = 1 << at
+                for dest, _pin in fanouts[nets[at]]:
+                    bits |= table[ids[dest]]
+                table[at] = bits
+            self._cone_table = table
+        bits = 0
+        try:
+            for root in roots:
+                bits |= table[self._net_ids[root]]
+        except KeyError as exc:
+            raise NetlistError(f"unknown net {exc.args[0]!r}") from None
+        return bits
+
     def fanout_cone(self, roots: Iterable[str]) -> frozenset[str]:
-        """All nets reachable *from* any root (roots included).
+        """All nets reachable *from* any root (roots included), by name.
 
-        Memoized at two levels: per root (the diagnosis engines query cones
-        for the same handful of nets thousands of times) and per root *set*
-        (so repeated multi-root queries return the same frozenset object,
-        which downstream slot caches key on cheaply).
+        :meth:`fanout_bits` decoded; not memoized, so a caller that tests
+        membership or walks the cone reads the bits instead.
         """
-        key = frozenset(roots)
-        cached = self._fanout_cache.get(key)
-        if cached is not None:
-            return cached
-        result: set[str] = set()
-        for root in key:
-            result |= self._single_fanout_cone(root)
-        cone = frozenset(result)
-        if len(self._fanout_cache) >= self._CONE_MEMO_LIMIT:
-            self._fanout_cache.clear()
-        self._fanout_cache[key] = cone
-        return cone
+        return frozenset(select(self._net_list, self.fanout_bits(roots)))
 
-    def _single_fanout_cone(self, root: str) -> frozenset[str]:
-        cached = self._cone_cache.get(root)
-        if cached is not None:
-            return cached
-        seen: set[str] = set()
-        stack = [root]
-        while stack:
-            net = stack.pop()
-            if net in seen:
-                continue
-            seen.add(net)
-            stack.extend(
-                dest for dest, _pin in self._fanouts.get(net, ()) if dest not in seen
-            )
-        cone = frozenset(seen)
-        self._cone_cache[root] = cone
-        return cone
-
-    def output_cone_map(self) -> dict[str, frozenset[str]]:
-        """For every net, the set of primary outputs it can reach.
-
-        Computed in one reverse-topological sweep; heavily used to prune the
-        candidate space per failing pattern.
-        """
-        reach: dict[str, set[str]] = {net: set() for net in self.nets()}
-        for out in self.outputs:
-            reach[out].add(out)
-        for net in reversed(self._order):
-            acc = reach[net]
-            for dest, _pin in self._fanouts[net]:
-                acc |= reach[dest]
-        for net in self.inputs:
-            acc = reach[net]
-            for dest, _pin in self._fanouts[net]:
-                acc |= reach[dest]
-        return {net: frozenset(outs) for net, outs in reach.items()}
+    def cone_gates(self, bits: int) -> list[str]:
+        """The gate nets of the cone bitset ``bits``, in topological
+        order."""
+        return select(self._order, bits >> len(self.inputs))
 
     # -- fanout-free regions ---------------------------------------------------
 

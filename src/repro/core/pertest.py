@@ -175,8 +175,9 @@ class PerTestAnalysis:
         flip_key = frozenset(flips)
         pin_key = frozenset(pins) - flip_key
         if pin_key and flip_key:
-            affected = self.netlist.fanout_cone(site.net for site in flip_key)
-            pin_key = frozenset(s for s in pin_key if s.net in affected)
+            affected = self.netlist.fanout_bits(site.net for site in flip_key)
+            ids = self.netlist.net_ids
+            pin_key = frozenset(s for s in pin_key if affected >> ids[s.net] & 1)
         key = (flip_key, pin_key)
         cached = self._joint_cache.get(key)
         if cached is not None:

@@ -167,13 +167,14 @@ def _aggressor_pool(
     relevance_mask = 0
     for idx in relevant:
         relevance_mask |= 1 << idx
-    victim_cone = netlist.fanout_cone([victim])  # holds the victim itself
+    victim_cone = netlist.fanout_bits([victim])  # holds the victim itself
+    ids = netlist.net_ids
     victim_value = base_values[victim]
     scored: list[tuple[int, str]] = []
     distance = config.bridge_level_distance
     for level in range(victim_level - distance, victim_level + distance + 1):
         for net in netlist.nets_at_level(level):
-            if net in victim_cone:
+            if victim_cone >> ids[net] & 1:
                 continue
             count = popcount((base_values[net] ^ victim_value) & relevance_mask)
             if count:

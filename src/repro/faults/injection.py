@@ -55,9 +55,8 @@ class FaultyCircuit:
         # only out-of-cone sources), so relaxation sweeps stay inside it.
         roots = set(self._stem_hooks)
         roots.update(gate_out for gate_out, _pin in self._pin_hooks)
-        cone = netlist.fanout_cone(roots) if roots else frozenset()
         self._hooked_inputs = [n for n in netlist.inputs if n in self._stem_hooks]
-        self._sweep_order = [n for n in netlist.topo_order if n in cone]
+        self._sweep_order = netlist.cone_gates(netlist.fanout_bits(roots))
 
     # -- ground truth -------------------------------------------------------
 
@@ -242,13 +241,13 @@ def defect_creates_feedback(netlist: Netlist, defects: Sequence[Defect]) -> bool
     """
     from repro.faults.models import BridgeDefect
 
+    ids = netlist.net_ids
     for defect in defects:
         if isinstance(defect, BridgeDefect):
-            cone = netlist.fanout_cone([defect.victim])
-            if defect.aggressor in cone:
+            if netlist.fanout_bits([defect.victim]) >> ids[defect.aggressor] & 1:
                 return True
             if defect.kind.value != "dom":
-                back = netlist.fanout_cone([defect.aggressor])
-                if defect.victim in back:
+                back = netlist.fanout_bits([defect.aggressor])
+                if back >> ids[defect.victim] & 1:
                     return True
     return False

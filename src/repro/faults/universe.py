@@ -65,12 +65,13 @@ def bridge_pairs(
     is returned.
     """
     nets = list(netlist.nets())
+    ids = netlist.net_ids
     pairs: list[BridgeDefect] = []
     for a, b in combinations(nets, 2):
         if abs(netlist.level(a) - netlist.level(b)) > max_level_distance:
             continue
         for victim, aggressor in ((a, b), (b, a)):
-            if exclude_feedback and aggressor in netlist.fanout_cone([victim]):
+            if exclude_feedback and netlist.fanout_bits([victim]) >> ids[aggressor] & 1:
                 continue
             pairs.append(BridgeDefect(victim, aggressor, kind))
             if kind is not BridgeKind.DOMINANT:

@@ -4,10 +4,11 @@ Jobs are routed to a fixed worker slot by a stable hash of their
 ``(circuit, pattern_seed)`` shard key, so repeated jobs against one
 device family hit the same worker instead of bouncing between cold ones.
 What stays warm per shard key is held by :func:`warm_shard`: the loaded
-netlist (with its fanin/fanout cone memos), the provisioned test set,
-and through them the content-keyed ``SimContext``/kernel caches.  An
-entry is filled by the key's first job, never at start-up, and the
-least recently used key is dropped past :data:`WARM_SHARD_LIMIT`.
+netlist (with its fan-in cone memo and fanout-cone table), the
+provisioned test set, and through them the content-keyed
+``SimContext``/kernel caches.  An entry is filled by the key's first
+job, never at start-up, and the least recently used key is dropped past
+:data:`WARM_SHARD_LIMIT`.
 
 The failure discipline is the campaign runner's, reused rather than
 reinvented: an in-job exception is classified through the
@@ -77,9 +78,9 @@ def warm_shard(circuit: str, pattern_seed: int) -> tuple[Netlist, PatternSet]:
 
     Loaded by the key's first job, never at start-up, then shared by every
     job of the key.  A key's jobs run on one worker thread, so its
-    netlist's cone memos are filled by one thread at a time except after
-    a watchdog requeue; those memos are idempotent, so that race only
-    repeats work.
+    netlist's cone memo and table are filled by one thread at a time
+    except after a watchdog requeue; both are idempotent, so that race
+    only repeats work.
     """
     netlist = load_circuit(circuit)
     return netlist, provision_patterns(netlist, pattern_seed)

@@ -48,7 +48,7 @@ import threading
 from collections import OrderedDict, defaultdict
 from typing import Callable, Iterable, Mapping
 
-from repro._bits import bit_positions, tally
+from repro._bits import bit_positions, bitset, popcount, tally
 from repro.circuit.gates import eval2
 from repro.circuit.netlist import Netlist, Site
 from repro.errors import SimulationError
@@ -157,7 +157,6 @@ class SimContext:
         st: dict[int, int] = {}
         pp: dict[int, int] = {}
         roots: list[str] = []
-        input_slots: list[int] = []
         for site, value in overrides.items():
             if site not in valid:
                 netlist.validate_site(site)
@@ -166,12 +165,8 @@ class SimContext:
                 raise SimulationError(f"override for {site} exceeds pattern width")
             branch = site.branch
             if branch is None:
-                net = site.net
-                roots.append(net)
-                slot = slot_of[net]
-                st[slot] = value
-                if net not in gates:
-                    input_slots.append(slot)
+                roots.append(site.net)
+                st[slot_of[site.net]] = value
             elif len(overrides) == 1:
                 # A lone pin override is a stem override of its gate, over
                 # the same cone: evaluate the gate here and spare the pin
@@ -184,17 +179,11 @@ class SimContext:
             else:
                 roots.append(branch[0])
                 pp[slot_of[branch[0]] * program.stride + branch[1]] = value
-        cone = netlist.fanout_cone(roots)
+        cone = netlist.fanout_bits(roots)
         COUNTERS.cone_passes += 1
-        COUNTERS.gate_evals += len(cone)
+        COUNTERS.gate_evals += popcount(cone)
         slots = base.copy()
-        for slot in input_slots:
-            slots[slot] = st[slot]
-        cone_set, _cone_order = kernels.cone_slots(cone)
-        if pp:
-            kernels.fn("cone2_sp")(slots, mask, cone_set, st, pp)
-        else:
-            kernels.fn("cone2_s")(slots, mask, cone_set, st)
+        kernels.run2(slots, mask, cone, st, pp)
         diff: dict[str, int] = {}
         for net, slot in self._out_pairs:
             delta = slots[slot] ^ base[slot]
@@ -438,8 +427,7 @@ class _FlipIndex:
                 bits = folded.get(key, 0)
                 ids = pending.pop(key, None)
                 if ids:
-                    for sid in ids:
-                        bits |= 1 << sid
+                    bits |= bitset(ids)
                     folded[key] = bits
                 row.append(bits)
         return row

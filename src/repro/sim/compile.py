@@ -8,15 +8,21 @@ netlist, so this module trades a one-time code generation step per netlist
 for straight-line evaluators:
 
 - **Slot program.**  Nets are numbered into integer *slots* -- primary
-  inputs first, then gate outputs in topological order -- and each gate
-  becomes a flat ``(out_slot, kind, input_slots)`` op.  Net values live in a
-  plain list indexed by slot, so a gate evaluation is a couple of list reads
-  and one store.
+  inputs first, then gate outputs in topological order, the order of
+  :meth:`~repro.circuit.netlist.Netlist.nets` -- and each gate becomes a
+  flat ``(out_slot, kind, input_slots)`` op.  Net values live in a plain
+  list indexed by slot, so a gate evaluation is a couple of list reads and
+  one store.  A cone bitset from
+  :meth:`~repro.circuit.netlist.Netlist.fanout_bits` is therefore also a
+  bitset over slots.
 - **Codegen.**  For each netlist a specialized Python function is emitted
-  (one statement per gate, constants folded in) and compiled with ``exec``.
-  Ten variants cover the engine needs: {2-valued, 3-valued} x {full pass,
-  cone-restricted} x {plain, stem overrides, stem+pin overrides}.  Variants
-  are generated lazily on first use.
+  (one guarded statement per gate, ``if c[k]: v[k] = ...``, constants
+  folded in) and compiled with ``exec``.  ``c`` is a per-pass list of
+  flags, one per slot, built from a cone bitset; a full pass is a cone of
+  every gate.  Stem overrides are written into the slot list before the
+  pass and their gates' flags cleared, so the kernels never probe them.
+  Four variants cover the engine's needs: {2-valued, 3-valued} x {no pin
+  overrides, pin overrides}, generated lazily on first use.
 - **Caching.**  Kernel sets are cached per netlist *content* fingerprint
   (:meth:`repro.circuit.netlist.Netlist.fingerprint`), mirroring the
   pattern-fingerprint keying of the campaign dictionary caches, so
@@ -34,6 +40,7 @@ import os
 from dataclasses import dataclass, fields
 from typing import Mapping
 
+from repro._bits import flag_list
 from repro.circuit.gates import GateKind
 from repro.circuit.netlist import Netlist
 from repro.errors import SimulationError
@@ -45,7 +52,6 @@ from repro.obs.trace import trace_event
 MAX_COMPILED_GATES = 20_000
 
 _KERNEL_CACHE_LIMIT = 64
-_CONE_SLOT_MEMO_LIMIT = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +160,7 @@ class SlotProgram:
     def __init__(self, netlist: Netlist):
         self.fingerprint = netlist.fingerprint()
         self.net_order: tuple[str, ...] = tuple(netlist.nets())
-        self.slot_of: dict[str, int] = {
-            net: slot for slot, net in enumerate(self.net_order)
-        }
+        self.slot_of: Mapping[str, int] = netlist.net_ids
         self.n_inputs = len(netlist.inputs)
         self.n_slots = len(self.net_order)
         self.out_slots: tuple[int, ...] = tuple(
@@ -175,6 +179,30 @@ class SlotProgram:
     def pin_key(self, gate_net: str, pin: int) -> int:
         """Integer pin-override key for pin ``pin`` of gate ``gate_net``."""
         return self.slot_of[gate_net] * self.stride + pin
+
+    def slot_overrides(
+        self,
+        stems: Mapping[str, int],
+        pins: Mapping[tuple[str, int], int],
+    ) -> tuple[dict[int, int], dict[int, int]]:
+        """Stem overrides by net as overrides by slot, and pin overrides
+        by ``(gate, pin)`` as overrides by :meth:`pin_key`."""
+        slot_of, stride = self.slot_of, self.stride
+        return (
+            {slot_of[net]: value for net, value in stems.items()},
+            {
+                slot_of[gate] * stride + pin: value
+                for (gate, pin), value in pins.items()
+            },
+        )
+
+    def flags(self, cone: int | None) -> list[int]:
+        """The guard list of one pass: per slot, 1 when the slot is in
+        ``cone`` (a bitset over slots), or 1 throughout for ``None``, a
+        full pass."""
+        if cone is None:
+            return [1] * self.n_slots
+        return flag_list(cone, self.n_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -257,48 +285,25 @@ def _lines3(kind: GateKind, srcs: list[tuple[str, str]], k: int) -> list[str]:
     raise SimulationError(f"cannot compile gate kind {kind}")
 
 
-#: Variant name -> (three_valued, cone_guarded, stem_overrides, pin_overrides)
-VARIANTS: dict[str, tuple[bool, bool, bool, bool]] = {
-    "full2": (False, False, False, False),
-    "full2_s": (False, False, True, False),
-    "full2_sp": (False, False, True, True),
-    "cone2_s": (False, True, True, False),
-    "cone2_sp": (False, True, True, True),
-    "full3": (True, False, False, False),
-    "full3_s": (True, False, True, False),
-    "full3_sp": (True, False, True, True),
-    "cone3_s": (True, True, True, False),
-    "cone3_sp": (True, True, True, True),
+#: Variant name -> (three_valued, pin_overrides)
+VARIANTS: dict[str, tuple[bool, bool]] = {
+    "sim2": (False, False),
+    "sim2_p": (False, True),
+    "sim3": (True, False),
+    "sim3_p": (True, True),
 }
 
 
 def emit_kernel_source(program: SlotProgram, variant: str) -> str:
     """Render the Python source of one kernel variant for ``program``."""
-    three, guarded, stems, pins = VARIANTS[variant]
+    three, pins = VARIANTS[variant]
     args = ["o", "z"] if three else ["v"]
-    args.append("m")
-    if guarded:
-        args.append("c")
-    if stems:
-        args.extend(["so", "sz"] if three else ["st"])
+    args.extend(["m", "c"])
     if pins:
         args.extend(["po", "pz"] if three else ["pp"])
     lines = [f"def {variant}({', '.join(args)}):"]
     stride = program.stride
     for k, kind, srcs in program.ops:
-        indent = "    "
-        if guarded:
-            lines.append(f"{indent}if {k} in c:")
-            indent += "    "
-        if stems:
-            if three:
-                lines.append(f"{indent}if {k} in so:")
-                lines.append(f"{indent}    o[{k}] = so[{k}]; z[{k}] = sz[{k}]")
-            else:
-                lines.append(f"{indent}if {k} in st:")
-                lines.append(f"{indent}    v[{k}] = st[{k}]")
-            lines.append(f"{indent}else:")
-            indent += "    "
         if three:
             if pins:
                 operands = [
@@ -310,7 +315,7 @@ def emit_kernel_source(program: SlotProgram, variant: str) -> str:
                 ]
             else:
                 operands = [(f"o[{src}]", f"z[{src}]") for src in srcs]
-            lines.extend(indent + line for line in _lines3(kind, operands, k))
+            body = "; ".join(_lines3(kind, operands, k))
         else:
             if pins:
                 operands2 = [
@@ -319,7 +324,8 @@ def emit_kernel_source(program: SlotProgram, variant: str) -> str:
                 ]
             else:
                 operands2 = [f"v[{src}]" for src in srcs]
-            lines.append(f"{indent}v[{k}] = {_expr2(kind, operands2)}")
+            body = f"v[{k}] = {_expr2(kind, operands2)}"
+        lines.append(f"    if c[{k}]: {body}")
     if not program.ops:
         lines.append("    pass")
     return "\n".join(lines) + "\n"
@@ -328,15 +334,11 @@ def emit_kernel_source(program: SlotProgram, variant: str) -> str:
 class KernelSet:
     """Lazily compiled kernel variants for one netlist program."""
 
-    __slots__ = ("program", "_fns", "_cone_memo")
+    __slots__ = ("program", "_fns")
 
     def __init__(self, program: SlotProgram):
         self.program = program
         self._fns: dict[str, object] = {}
-        # fanout-cone frozenset -> (gate-slot frozenset, sorted gate slots).
-        # Netlist.fanout_cone memoizes per root set and returns the same
-        # frozenset object for repeated queries, so lookups here are cheap.
-        self._cone_memo: dict[frozenset, tuple[frozenset, tuple[int, ...]]] = {}
 
     def fn(self, variant: str):
         func = self._fns.get(variant)
@@ -355,25 +357,52 @@ class KernelSet:
             record_kernel_compile(variant)
         return func
 
-    def cone_slots(self, cone: frozenset) -> tuple[frozenset, tuple[int, ...]]:
-        """Gate slots of a fanout cone: (membership set, topo-sorted tuple).
+    def run2(
+        self,
+        v: list,
+        mask: int,
+        cone: int | None,
+        stems: Mapping[int, int],
+        pins: Mapping[int, int] | None = None,
+    ) -> None:
+        """Two-valued pass over the slot list ``v``, in place.
 
-        Slots are assigned inputs-first then topological, so ascending slot
-        order *is* evaluation order.
+        Evaluates the gates of ``cone`` (a bitset over slots; ``None`` for
+        every gate) after writing each stem override (slot -> value) into
+        ``v`` and taking its gate out of the pass; ``pins`` holds pin
+        overrides by :meth:`SlotProgram.pin_key`.
         """
-        entry = self._cone_memo.get(cone)
-        if entry is None:
-            slot_of = self.program.slot_of
-            n_inputs = self.program.n_inputs
-            gate_slots = sorted(
-                slot for slot in map(slot_of.__getitem__, cone)
-                if slot >= n_inputs
-            )
-            entry = (frozenset(gate_slots), tuple(gate_slots))
-            if len(self._cone_memo) >= _CONE_SLOT_MEMO_LIMIT:
-                self._cone_memo.clear()
-            self._cone_memo[cone] = entry
-        return entry
+        c = self.program.flags(cone)
+        for slot, value in stems.items():
+            v[slot] = value
+            c[slot] = 0
+        if pins:
+            self.fn("sim2_p")(v, mask, c, pins)
+        else:
+            self.fn("sim2")(v, mask, c)
+
+    def run3(
+        self,
+        o: list,
+        z: list,
+        mask: int,
+        cone: int | None,
+        stems: Mapping[int, tuple[int, int]],
+        po: Mapping[int, int] | None = None,
+        pz: Mapping[int, int] | None = None,
+    ) -> None:
+        """Three-valued :meth:`run2` over the ``(ones, zeros)`` slot lists:
+        stem overrides are ``(ones, zeros)`` pairs, and pin overrides come
+        as two maps, ``po`` of ones and ``pz`` of zeros, keyed alike."""
+        c = self.program.flags(cone)
+        for slot, (ones, zeros) in stems.items():
+            o[slot] = ones
+            z[slot] = zeros
+            c[slot] = 0
+        if po:
+            self.fn("sim3_p")(o, z, mask, c, po, pz)
+        else:
+            self.fn("sim3")(o, z, mask, c)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ this is dramatically cheaper than a full-netlist pass.
 The compiled backend evaluates the cone with a guarded straight-line kernel
 over the flat slot array; when ``base_values`` came from the compiled
 :func:`~repro.sim.logicsim.simulate` (a ``SlotValues``), the base slot list
-is reused directly and the whole resimulation allocates one list copy.
+is reused directly and the whole resimulation allocates one list copy
+and the pass's flag list.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+from repro._bits import bit_positions, popcount
 from repro.circuit.gates import eval2
 from repro.circuit.netlist import Netlist, Site
 from repro.errors import SimulationError
@@ -24,8 +26,9 @@ from repro.sim.compile import COUNTERS, active_kernels, base_slots
 
 def _split_resim_overrides(
     netlist: Netlist, overrides: Mapping[Site, int], mask: int
-) -> tuple[dict[str, int], dict[tuple[str, int], int], frozenset[str]]:
-    """Validate overrides, split into stem/pin maps, return the fanout cone."""
+) -> tuple[dict[str, int], dict[tuple[str, int], int], int]:
+    """Validate overrides, split into stem/pin maps, return the fanout cone
+    as a bitset (:meth:`~repro.circuit.netlist.Netlist.fanout_bits`)."""
     stem_over: dict[str, int] = {}
     pin_over: dict[tuple[str, int], int] = {}
     roots: list[str] = []
@@ -39,7 +42,7 @@ def _split_resim_overrides(
         else:
             pin_over[site.branch] = value
             roots.append(site.branch[0])
-    return stem_over, pin_over, netlist.fanout_cone(roots)
+    return stem_over, pin_over, netlist.fanout_bits(roots)
 
 
 def resimulate_with_overrides(
@@ -56,7 +59,7 @@ def resimulate_with_overrides(
     """
     stem_over, pin_over, cone = _split_resim_overrides(netlist, overrides, mask)
     COUNTERS.cone_passes += 1
-    COUNTERS.gate_evals += len(cone)
+    COUNTERS.gate_evals += popcount(cone)
 
     kernels = active_kernels(netlist)
     if kernels is None:
@@ -64,43 +67,14 @@ def resimulate_with_overrides(
 
     program = kernels.program
     base = base_slots(program, base_values)
-    slot_of = program.slot_of
-    gates = netlist.gates
-    st: dict[int, int] = {}
-    input_slots: list[int] = []
-    for net, value in stem_over.items():
-        slot = slot_of[net]
-        st[slot] = value
-        if net not in gates:
-            input_slots.append(slot)
-    input_slots.sort()
-    if pin_over:
-        stride = program.stride
-        pp = {
-            slot_of[gate] * stride + pin: value
-            for (gate, pin), value in pin_over.items()
-        }
-    else:
-        pp = {}
-
     slots = base.copy()
+    kernels.run2(slots, mask, cone, *program.slot_overrides(stem_over, pin_over))
+    # The cone's only inputs are the overridden ones, so slot order lists
+    # them first, then its gates in topological order: the interpreted
+    # walk's insertion order.
     changed = {}
     net_order = program.net_order
-    # Overridden inputs first, in primary-input (= slot) order, matching
-    # the interpreted walk's insertion order.
-    for slot in input_slots:
-        value = st[slot]
-        slots[slot] = value
-        if value != base[slot]:
-            changed[net_order[slot]] = value
-
-    cone_set, cone_order = kernels.cone_slots(cone)
-    if pp:
-        kernels.fn("cone2_sp")(slots, mask, cone_set, st, pp)
-    else:
-        kernels.fn("cone2_s")(slots, mask, cone_set, st)
-
-    for slot in cone_order:
+    for slot in bit_positions(cone):
         value = slots[slot]
         if value != base[slot]:
             changed[net_order[slot]] = value
@@ -112,7 +86,7 @@ def _resim_interp(
     base_values: Mapping[str, int],
     stem_over: dict[str, int],
     pin_over: dict[tuple[str, int], int],
-    cone: frozenset[str],
+    cone: int,
     mask: int,
 ) -> dict[str, int]:
     """Interpreted reference walk (differential oracle for the kernels)."""
@@ -124,9 +98,7 @@ def _resim_interp(
     for net in netlist.inputs:
         if net in stem_over and stem_over[net] != base_values[net]:
             changed[net] = stem_over[net]
-    for net in netlist.topo_order:
-        if net not in cone:
-            continue
+    for net in netlist.cone_gates(cone):
         if net in stem_over:
             if stem_over[net] != base_values[net]:
                 changed[net] = stem_over[net]
@@ -158,7 +130,7 @@ def resim_output_diff(
     """
     stem_over, pin_over, cone = _split_resim_overrides(netlist, overrides, mask)
     COUNTERS.cone_passes += 1
-    COUNTERS.gate_evals += len(cone)
+    COUNTERS.gate_evals += popcount(cone)
 
     kernels = active_kernels(netlist)
     if kernels is None:
@@ -167,33 +139,8 @@ def resim_output_diff(
 
     program = kernels.program
     base = base_slots(program, base_values)
-    slot_of = program.slot_of
-    gates = netlist.gates
-    st: dict[int, int] = {}
-    input_slots: list[int] = []
-    for net, value in stem_over.items():
-        slot = slot_of[net]
-        st[slot] = value
-        if net not in gates:
-            input_slots.append(slot)
-    if pin_over:
-        stride = program.stride
-        pp = {
-            slot_of[gate] * stride + pin: value
-            for (gate, pin), value in pin_over.items()
-        }
-    else:
-        pp = {}
-
     slots = base.copy()
-    for slot in input_slots:
-        slots[slot] = st[slot]
-    cone_set, _cone_order = kernels.cone_slots(cone)
-    if pp:
-        kernels.fn("cone2_sp")(slots, mask, cone_set, st, pp)
-    else:
-        kernels.fn("cone2_s")(slots, mask, cone_set, st)
-
+    kernels.run2(slots, mask, cone, *program.slot_overrides(stem_over, pin_over))
     diff: dict[str, int] = {}
     for net, slot in zip(netlist.outputs, program.out_slots):
         delta = slots[slot] ^ base[slot]

@@ -69,14 +69,14 @@ def single_defect_overrides(
         v = base_values[defect.site.net]
         return {defect.site: v ^ (defect.flip_vector(patterns.n) & mask)}
     if isinstance(defect, BridgeDefect):
-        victim_cone = netlist.fanout_cone([defect.victim])
-        if defect.aggressor in victim_cone:
+        ids = netlist.net_ids
+        if netlist.fanout_bits([defect.victim]) >> ids[defect.aggressor] & 1:
             return None
         a = base_values[defect.aggressor]
         v = base_values[defect.victim]
         if defect.kind is BridgeKind.DOMINANT:
             return {Site(defect.victim): a}
-        if defect.victim in netlist.fanout_cone([defect.aggressor]):
+        if netlist.fanout_bits([defect.aggressor]) >> ids[defect.victim] & 1:
             return None
         merged = (v & a) if defect.kind is BridgeKind.WIRED_AND else (v | a)
         return {Site(defect.victim): merged, Site(defect.aggressor): merged}

@@ -78,30 +78,9 @@ def simulate(
     program = kernels.program
     bits = patterns.bits
     slots = [0] * program.n_slots
-    if stem_over:
-        for slot, net in enumerate(netlist.inputs):
-            slots[slot] = stem_over.get(net, bits[net])
-    else:
-        for slot, net in enumerate(netlist.inputs):
-            slots[slot] = bits[net]
-    gates = netlist.gates
-    slot_of = program.slot_of
-    st = {
-        slot_of[net]: value
-        for net, value in stem_over.items()
-        if net in gates
-    }
-    if pin_over:
-        stride = program.stride
-        pp = {
-            slot_of[gate] * stride + pin: value
-            for (gate, pin), value in pin_over.items()
-        }
-        kernels.fn("full2_sp")(slots, mask, st, pp)
-    elif st:
-        kernels.fn("full2_s")(slots, mask, st)
-    else:
-        kernels.fn("full2")(slots, mask)
+    for slot, net in enumerate(netlist.inputs):
+        slots[slot] = bits[net]
+    kernels.run2(slots, mask, None, *program.slot_overrides(stem_over, pin_over))
     return make_slot_values(program, slots, mask)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from repro._bits import popcount
 from repro.circuit.gates import TV, eval3, tv_all_x, tv_const, tv_xmask
 from repro.circuit.netlist import Netlist, Site
 from repro.errors import SimulationError
@@ -62,36 +63,19 @@ def simulate3(
     ones = [0] * program.n_slots
     zeros = [0] * program.n_slots
     for slot, net in enumerate(netlist.inputs):
-        tv = stem_over.get(net)
-        if tv is None:
-            b = bits[net] & mask
-            ones[slot] = b
-            zeros[slot] = b ^ mask
-        else:
-            ones[slot] = tv[0] & mask
-            zeros[slot] = tv[1] & mask
-    gates = netlist.gates
-    slot_of = program.slot_of
-    so: dict[int, int] = {}
-    sz: dict[int, int] = {}
-    for net, tv in stem_over.items():
-        if net in gates:
-            slot = slot_of[net]
-            so[slot] = tv[0] & mask
-            sz[slot] = tv[1] & mask
-    if pin_over:
-        stride = program.stride
-        po: dict[int, int] = {}
-        pz: dict[int, int] = {}
-        for (gate, pin), tv in pin_over.items():
-            key = slot_of[gate] * stride + pin
-            po[key] = tv[0] & mask
-            pz[key] = tv[1] & mask
-        kernels.fn("full3_sp")(ones, zeros, mask, so, sz, po, pz)
-    elif so:
-        kernels.fn("full3_s")(ones, zeros, mask, so, sz)
-    else:
-        kernels.fn("full3")(ones, zeros, mask)
+        b = bits[net] & mask
+        ones[slot] = b
+        zeros[slot] = b ^ mask
+    stems, pins = program.slot_overrides(stem_over, pin_over)
+    kernels.run3(
+        ones,
+        zeros,
+        mask,
+        None,
+        {slot: (tv[0] & mask, tv[1] & mask) for slot, tv in stems.items()},
+        {key: tv[0] & mask for key, tv in pins.items()},
+        {key: tv[1] & mask for key, tv in pins.items()},
+    )
 
     values: dict[str, TV] = {}
     for slot, net in enumerate(program.net_order):
@@ -149,17 +133,11 @@ def x_injection_reach(
         base_values = simulate(netlist, patterns)
     mask = patterns.mask
 
-    if site.is_stem:
-        cone = netlist.fanout_cone([site.net])
-        entry_net = site.net
-        pin_target: tuple[str, int] | None = None
-    else:
-        gate_name, pin = site.branch
-        cone = netlist.fanout_cone([gate_name])
-        entry_net = gate_name
-        pin_target = (gate_name, pin)
+    pin_target = site.branch
+    entry_net = site.net if pin_target is None else pin_target[0]
+    cone = netlist.fanout_bits([entry_net])
     COUNTERS.cone3_passes += 1
-    COUNTERS.gate_evals += len(cone)
+    COUNTERS.gate_evals += popcount(cone)
 
     kernels = active_kernels(netlist)
     if kernels is None:
@@ -171,24 +149,12 @@ def x_injection_reach(
     base_on, base_zr = lifted_base(program, base_values, mask)
     ones = base_on.copy()
     zeros = base_zr.copy()
-    cone_set, _ = kernels.cone_slots(cone)
     slot_of = program.slot_of
-    so: dict[int, int] = {}
-    sz: dict[int, int] = {}
     if pin_target is None:
-        slot = slot_of[entry_net]
-        if slot < program.n_inputs:
-            ones[slot] = mask
-            zeros[slot] = mask
-        else:
-            so[slot] = mask
-            sz[slot] = mask
-        kernels.fn("cone3_s")(ones, zeros, mask, cone_set, so, sz)
+        kernels.run3(ones, zeros, mask, cone, {slot_of[entry_net]: (mask, mask)})
     else:
-        key = slot_of[entry_net] * program.stride + pin_target[1]
-        kernels.fn("cone3_sp")(
-            ones, zeros, mask, cone_set, so, sz, {key: mask}, {key: mask}
-        )
+        key = program.pin_key(entry_net, pin_target[1])
+        kernels.run3(ones, zeros, mask, cone, {}, {key: mask}, {key: mask})
 
     reach: dict[str, int] = {}
     for out_net in netlist.outputs:
@@ -205,7 +171,7 @@ def x_injection_reach(
 def _x_reach_interp(
     netlist: Netlist,
     base_values: Mapping[str, int],
-    cone: frozenset[str],
+    cone: int,
     entry_net: str,
     pin_target: tuple[str, int] | None,
     mask: int,
@@ -223,9 +189,7 @@ def _x_reach_interp(
     if pin_target is None and netlist.is_input(entry_net):
         values3[entry_net] = all_x
 
-    for net in netlist.topo_order:
-        if net not in cone:
-            continue
+    for net in netlist.cone_gates(cone):
         if pin_target is None and net == entry_net:
             values3[net] = all_x
             continue

@@ -232,16 +232,30 @@ class TestDifferential:
             pin: (rng.getrandbits(n), rng.getrandbits(n)),
         }
         reach_sites = (stem, input_stem, pin, Site(netlist.outputs[0]))
+        # Each override kind alone, then all together: a stem override on
+        # a gate or an input is written before the pass, a pin override
+        # takes the pin kernels, and the shared context turns a lone pin
+        # override into a stem override of its gate.
+        each = [{site: value} for site, value in over.items()] + [over]
 
         def run():
             # Item lists make ``==`` key-order sensitive.
             base = simulate(netlist, pats)
+            ctx = sim_context(netlist, pats)
             return [
                 list(base.items()),
-                list(simulate(netlist, pats, over).items()),
-                list(resimulate_with_overrides(netlist, base, over, mask).items()),
-                list(resim_output_diff(netlist, base, over, mask).items()),
+                [list(simulate(netlist, pats, o).items()) for o in each],
+                [
+                    list(resimulate_with_overrides(netlist, base, o, mask).items())
+                    for o in each
+                ],
+                [list(resim_output_diff(netlist, base, o, mask).items()) for o in each],
+                [list(ctx.resim_diff(o).items()) for o in each],
                 list(simulate3(netlist, pats, over3).items()),
+                [
+                    list(simulate3(netlist, pats, {site: tv_all_x(mask)}).items())
+                    for site in (stem, input_stem, pin)
+                ],
                 [
                     list(x_injection_reach(netlist, pats, site, base).items())
                     for site in reach_sites
@@ -326,17 +340,33 @@ class TestCodegen:
     def test_every_variant_compiles(self):
         n = _random_netlist(11)
         kernels = kernels_for(n)
+        guards = [f"    if c[{k}]" for k, _kind, _srcs in kernels.program.ops]
+        assert len(VARIANTS) == 4
         for variant in VARIANTS:
             source = emit_kernel_source(kernels.program, variant)
             assert source.startswith(f"def {variant}(")
+            # One guarded statement per gate.
+            body = source.splitlines()[1:]
+            assert [line.split(":", 1)[0] for line in body] == guards
             assert kernels.fn(variant) is kernels.fn(variant)  # compiled once
+
+    def test_full_and_cone_passes_share_one_kernel(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM", "compiled")
+        n = _random_netlist(13)
+        pats = PatternSet.random(n, 9, seed=13)
+        before = COUNTERS.kernel_compiles
+        ctx = sim_context(n, pats)  # a full pass
+        ctx.flip_signature(Site(n.topo_order[0]))  # a cone pass
+        ctx.flip_signature(Site(n.inputs[0]))
+        assert COUNTERS.kernel_compiles == before + 1
+        assert list(kernels_for(n)._fns) == ["sim2"]
 
     def test_kernel_compile_counter(self):
         n = _random_netlist(12)
         before = COUNTERS.kernel_compiles
         kernels = kernels_for(n)
-        kernels.fn("full2")
-        kernels.fn("full2")
+        kernels.fn("sim2")
+        kernels.fn("sim2")
         assert COUNTERS.kernel_compiles == before + 1
 
 

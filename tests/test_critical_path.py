@@ -167,7 +167,7 @@ def test_lone_branch_flip_needs_no_pin_kernel(monkeypatch):
     reset_sim_caches()
     ctx = sim_context(netlist, patterns)
     compiled = [ctx.flip_signature(site) for site in branches]
-    assert "cone2_sp" not in kernels_for(netlist)._fns
+    assert "sim2_p" not in kernels_for(netlist)._fns
     monkeypatch.setenv("REPRO_SIM", "interp")
     reset_sim_caches()
     ctx = sim_context(netlist, patterns)

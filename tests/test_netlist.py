@@ -1,13 +1,19 @@
 """Unit tests for the Netlist graph structure."""
 
 import pickle
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.gates import Gate, GateKind
+from repro.circuit.library import circuit_names, load_circuit
 from repro.circuit.netlist import Netlist, Site
 from repro.errors import CircuitError, NetlistError
+from repro.sim.compile import kernels_for
+
+from tests.test_properties import circuits
 
 
 def make(name="m", inputs=("a", "b"), outputs=("z",), gates=()):
@@ -147,13 +153,13 @@ class TestCones:
     def test_fanout_cone(self, tiny_and):
         assert tiny_and.fanout_cone(["a"]) == {"a", "ab", "z"}
         assert tiny_and.fanout_cone(["c"]) == {"c", "z"}
+        assert list(tiny_and.net_ids) == list(tiny_and.nets())
+        assert tiny_and.cone_gates(tiny_and.fanout_bits(["a"])) == ["ab", "z"]
+        assert tiny_and.fanout_bits([]) == 0
 
-    def test_output_cone_map(self, c17_netlist):
-        reach = c17_netlist.output_cone_map()
-        assert reach["22"] == frozenset({"22"})
-        assert reach["11"] == frozenset({"22", "23"})
-        assert reach["1"] == frozenset({"22"})
-        assert reach["7"] == frozenset({"23"})
+    def test_fanout_bits_unknown_root(self, tiny_and):
+        with pytest.raises(NetlistError, match="unknown net 'nope'"):
+            tiny_and.fanout_bits(["a", "nope"])
 
     def test_ffr_root_stops_at_fanout(self, fanout_circuit):
         # 'stem' fans out -> it is its own FFR root.
@@ -170,6 +176,66 @@ class TestCones:
     def test_extract_cone_unknown(self, c17_netlist):
         with pytest.raises(NetlistError):
             c17_netlist.extract_cone("nope")
+
+
+def _dfs_fanout_cone(netlist, roots) -> set[str]:
+    """Reference: every net reachable from ``roots`` by a depth-first walk
+    over :meth:`Netlist.fanout`."""
+    seen: set[str] = set()
+    stack = list(roots)
+    while stack:
+        net = stack.pop()
+        if net not in seen:
+            seen.add(net)
+            stack.extend(dest for dest, _pin in netlist.fanout(net))
+    return seen
+
+
+def _check_cone_table(netlist, rng) -> None:
+    """Decoded :meth:`Netlist.fanout_bits` equals the DFS reference for
+    every net as a single root, for root sets, and for a primary input
+    and a primary output together; the gate walk is the cone's gates in
+    topological order."""
+    nets = list(netlist.nets())
+    reference = {net: _dfs_fanout_cone(netlist, [net]) for net in nets}
+    for net in nets:
+        assert netlist.fanout_cone([net]) == reference[net], net
+    root_sets = [rng.sample(nets, min(k, len(nets))) for k in (2, 3, 5, 8)]
+    root_sets.append([netlist.inputs[0], netlist.outputs[0]])
+    for roots in root_sets:
+        cone = set().union(*(reference[net] for net in roots))
+        bits = netlist.fanout_bits(roots)
+        assert netlist.fanout_cone(roots) == cone, roots
+        assert netlist.cone_gates(bits) == [
+            net for net in netlist.topo_order if net in cone
+        ]
+
+
+#: Library circuits up to ``rnd1000``: ``rnd3000``'s per-net DFS reference
+#: alone would take longer than the rest of the module.
+_CONE_CIRCUITS = [name for name in circuit_names() if name != "rnd3000"]
+
+
+class TestConeTable:
+    @pytest.mark.parametrize("name", _CONE_CIRCUITS)
+    def test_library_circuit_cones_match_dfs(self, name):
+        """The cones match the DFS reference, and a second, structurally
+        equal instance numbers its nets like the compiled program the two
+        share, so its cone bitsets are bitsets over that program's slots
+        too."""
+        first, second = load_circuit(name), load_circuit(name)
+        _check_cone_table(first, random.Random(name))
+        program = kernels_for(first).program
+        assert kernels_for(second).program is program
+        assert tuple(second.nets()) == program.net_order
+        assert dict(second.net_ids) == dict(program.slot_of)
+        for net in program.net_order:
+            assert second.fanout_bits([net]) == first.fanout_bits([net])
+
+    @settings(max_examples=25, deadline=None)
+    @given(netlist=circuits, seed=st.integers(0, 10_000))
+    def test_random_circuit_cones_match_dfs(self, netlist, seed):
+        _check_cone_table(netlist, random.Random(seed))
 
 
 class TestSites:

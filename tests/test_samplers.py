@@ -80,11 +80,10 @@ class TestSampleDefectSet:
     def test_interacting_shares_cone(self, rca):
         defects = sample_defect_set(rca, 3, seed=5, interacting=True)
         # All ground-truth sites must reach at least one common output.
-        reach = rca.output_cone_map()
         common = None
         for d in defects:
             for s in d.ground_truth_sites():
-                outs = reach[s.net]
+                outs = rca.fanout_cone([s.net]) & set(rca.outputs)
                 common = outs if common is None else common & outs
         assert common, "interacting sampler must share an output cone"
 
