@@ -31,7 +31,6 @@ import _harness  # noqa: F401  (keeps sys.path behavior identical to other bench
 from _harness import ACCURACY_CIRCUITS, representative_trial
 from repro.circuit.library import load_circuit
 from repro.circuit.netlist import Site
-from repro.core.backtrace import flip_criticality
 from repro.sim.cache import reset_sim_caches
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
@@ -77,12 +76,6 @@ def test_kernel_x_injection(benchmark, workload):
     netlist, patterns, base = workload
     site = Site(netlist.topo_order[len(netlist.topo_order) // 4])
     benchmark(x_injection_reach, netlist, patterns, site, base)
-
-
-def test_kernel_flip_criticality(benchmark, workload):
-    netlist, patterns, base = workload
-    site = Site(netlist.topo_order[10])
-    benchmark(flip_criticality, netlist, patterns, site, base)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.core.budget import OPTIMALITY_OPTIMAL
 from repro.core.cover import greedy_pertest_cover
 from repro.core.hitting import hitting_set_cover
 from repro.core.pertest import build_pertest
+from repro.sim.cache import sim_context
 from repro.tester.harness import apply_test
 
 RESULTS = Path(__file__).parent / "results"
@@ -61,7 +62,7 @@ def _instances(circuit: str, k: int, trials: int, seed: int):
 
 def _compare(netlist, patterns, datalog):
     analysis = build_pertest(
-        netlist, patterns, datalog, candidate_sites(netlist, datalog)
+        sim_context(netlist, patterns), datalog, candidate_sites(netlist, datalog)
     )
     greedy = greedy_pertest_cover(analysis)
     started = time.perf_counter()

@@ -25,8 +25,8 @@ from repro._rng import make_rng
 from repro.circuit.netlist import Netlist
 from repro.faults.collapse import collapse_stuck_at
 from repro.faults.models import Defect
+from repro.sim.cache import SimContext, sim_context
 from repro.sim.faultsim import defect_output_diff
-from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 
 
@@ -36,11 +36,13 @@ def fault_signatures(
     faults: list[Defect],
 ) -> dict[Defect, tuple]:
     """Canonical full-response signature per fault under ``patterns``."""
-    base = simulate(netlist, patterns)
-    return {
-        fault: tuple(sorted(defect_output_diff(netlist, patterns, fault, base).items()))
-        for fault in faults
-    }
+    ctx = sim_context(netlist, patterns)
+    return {fault: _signature(ctx, fault) for fault in faults}
+
+
+def _signature(ctx: SimContext, fault: Defect) -> tuple:
+    """``fault``'s canonical full-response signature on ``ctx``."""
+    return tuple(sorted(defect_output_diff(ctx, fault).items()))
 
 
 def indistinguished_pairs(
@@ -98,33 +100,32 @@ def expand_diagnostic(
     if faults is None:
         faults = list(collapse_stuck_at(netlist).representatives)
 
-    signatures = fault_signatures(netlist, patterns, faults)
-    pairs = indistinguished_pairs(signatures)
+    ctx = sim_context(netlist, patterns)
+    pairs = indistinguished_pairs({fault: _signature(ctx, fault) for fault in faults})
     pairs_before = len(pairs)
     added = 0
     unresolved: list = []
 
     for fault_a, fault_b in pairs:
         # An earlier addition may already have split this pair.
-        sig_a = fault_signatures(netlist, patterns, [fault_a])[fault_a]
-        sig_b = fault_signatures(netlist, patterns, [fault_b])[fault_b]
-        if sig_a != sig_b:
+        if _signature(ctx, fault_a) != _signature(ctx, fault_b):
             continue
         if max_added is not None and added >= max_added:
             unresolved.append((fault_a, fault_b))
             continue
         found = None
         for _ in range(max_batches_per_pair):
-            trial = PatternSet.random(netlist, batch, rng)
-            base = simulate(netlist, trial)
-            diff_a = defect_output_diff(netlist, trial, fault_a, base)
-            diff_b = defect_output_diff(netlist, trial, fault_b, base)
+            # A trial batch is tried once: an unregistered context, so the
+            # search never evicts a registered one.
+            trial = SimContext(netlist, PatternSet.random(netlist, batch, rng))
+            diff_a = defect_output_diff(trial, fault_a)
+            diff_b = defect_output_diff(trial, fault_b)
             delta = 0
             for out in set(diff_a) | set(diff_b):
                 delta |= diff_a.get(out, 0) ^ diff_b.get(out, 0)
             if delta:
                 index = (delta & -delta).bit_length() - 1
-                found = trial.pattern(index)
+                found = trial.patterns.pattern(index)
                 break
         if found is None:
             unresolved.append((fault_a, fault_b))
@@ -132,9 +133,11 @@ def expand_diagnostic(
         patterns = patterns.concat(
             PatternSet.from_vectors(netlist.inputs, [found])
         ).dedup()
+        # Each grown set is an intermediate, unregistered like the trials.
+        ctx = SimContext(netlist, patterns)
         added += 1
 
-    final = fault_signatures(netlist, patterns, faults)
+    final = {fault: _signature(ctx, fault) for fault in faults}
     pairs_after = len(indistinguished_pairs(final))
     return DiagnosticAtpgReport(
         patterns=patterns,

@@ -38,6 +38,7 @@ from repro.obs.trace import (
     stage_seconds,
     uninstall_tracer,
 )
+from repro.sim.cache import sim_context
 from repro.sim.patterns import PatternSet
 from repro.tester.harness import apply_test
 
@@ -399,7 +400,7 @@ class Campaign:
                         from repro.core.oracle import validate_report
 
                         report = validate_report(
-                            self.netlist, self.patterns, report, result.raw
+                            sim_context(self.netlist, self.patterns), report, result.raw
                         )
             else:
                 report = runner(self.netlist, self.patterns, result.datalog)
@@ -409,7 +410,7 @@ class Campaign:
                     from repro.core.oracle import validate_report
 
                     report = validate_report(
-                        self.netlist, self.patterns, report, result.raw
+                        sim_context(self.netlist, self.patterns), report, result.raw
                     )
             outcome = score_report(
                 self.netlist,

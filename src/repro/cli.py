@@ -197,8 +197,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
                 report = diagnose_single_fault(netlist, patterns, datalog)
         if oracle_raw is not None and report.consistency is None:
             from repro.core.oracle import validate_report
+            from repro.sim.cache import sim_context
 
-            report = validate_report(netlist, patterns, report, oracle_raw)
+            report = validate_report(sim_context(netlist, patterns), report, oracle_raw)
     finally:
         if tracer is not None:
             from repro.obs.trace import uninstall_tracer

@@ -1,27 +1,24 @@
-"""Structural candidate extraction and single-site criticality.
+"""Structural candidate extraction.
 
-- :func:`candidate_sites` builds the *complete* structural candidate
-  envelope for a datalog: every site with a path into some failing output
-  of some failing pattern.  Under the no-assumptions premise this is the
-  only sound hard pruning -- any tighter filter needs behavioral analysis
-  (the X-cover stage).  The envelope is a bitset over the netlist's site
-  ids, the form per-test analysis and the flip index take it in.
+:func:`candidate_sites` builds the *complete* structural candidate
+envelope for a datalog: every site with a path into some failing output
+of some failing pattern.  Under the no-assumptions premise this is the
+only sound hard pruning -- any tighter filter needs behavioral analysis
+(the X-cover stage).  The envelope is a bitset over the netlist's site
+ids, the form per-test analysis and the flip index take it in.
 
-- :func:`flip_criticality` is an exact, stem-aware critical path tracing
-  primitive computed by single-site flip resimulation, bit-parallel over
-  all patterns at once.  The pipeline's region-wise critical path tracing
-  is :meth:`SimContext.critical <repro.sim.cache.SimContext.critical>`.
+A site's exact criticality -- per output, the patterns under which
+complementing it complements that output -- is its flip signature on the
+shared context (:meth:`SimContext.flip_signature
+<repro.sim.cache.SimContext.flip_signature>`), and the pipeline's
+region-wise critical path tracing is :meth:`SimContext.critical
+<repro.sim.cache.SimContext.critical>`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.circuit.netlist import Netlist, Site
+from repro.circuit.netlist import Netlist
 from repro.core.budget import Budget
-from repro.sim.cache import active_context
-from repro.sim.event import changed_outputs, resimulate_with_overrides
-from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
 
@@ -63,26 +60,3 @@ def candidate_sites(
     if not include_branches:
         envelope &= (1 << netlist.n_nets) - 1  # the stems' ids
     return envelope
-
-
-def flip_criticality(
-    netlist: Netlist,
-    patterns: PatternSet,
-    site: Site,
-    base_values: Mapping[str, int],
-) -> dict[str, int]:
-    """Exact criticality of ``site``: per-output vectors of flip-sensitivity.
-
-    Bit *i* of ``result[out]`` is set iff inverting the site's value under
-    pattern *i* inverts output ``out``.  This is critical path tracing with
-    exact stem handling, evaluated for every pattern in one cone-restricted
-    resimulation -- or answered from the shared context's flip-signature
-    memo when ``base_values`` is that context's own base vector.
-    """
-    ctx = active_context(netlist, patterns, base_values)
-    if ctx is not None:
-        return dict(ctx.flip_signature(site))
-    mask = patterns.mask
-    flipped = (base_values[site.net] ^ mask) & mask
-    changed = resimulate_with_overrides(netlist, base_values, {site: flipped}, mask)
-    return changed_outputs(netlist, changed, base_values, mask)

@@ -33,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.circuit.netlist import Netlist, Site
-from repro.core.backtrace import flip_criticality
 from repro.errors import DiagnosisError
-from repro.sim.logicsim import simulate
+from repro.sim.cache import sim_context
 from repro.sim.patterns import PatternSet
 from repro.sim.timing import arrival_times
 from repro.tester.datalog import Datalog
@@ -86,7 +85,8 @@ def diagnose_small_delay(
     failing = [idx for idx in datalog.failing_indices if idx > 0]
     if not failing:
         return []
-    base = simulate(netlist, patterns)
+    ctx = sim_context(netlist, patterns)
+    base = ctx.base
     arrival = arrival_times(netlist, gate_delay)
 
     # Longest-path tables for every output that ever fails.
@@ -100,15 +100,6 @@ def diagnose_small_delay(
     # Structural + functional screen: nets reaching all failing outputs of a
     # pattern, switching there, and critical for every failing output (the
     # stale value must actually flip the captures that failed).
-    criticality_cache: dict[str, dict[str, int]] = {}
-
-    def critical_for(net: str, idx: int, outs) -> bool:
-        crit = criticality_cache.get(net)
-        if crit is None:
-            crit = flip_criticality(netlist, patterns, Site(net), base)
-            criticality_cache[net] = crit
-        return all((crit.get(out, 0) >> idx) & 1 for out in outs)
-
     stats: dict[str, list[float]] = {}
     explained: dict[str, int] = {}
     for idx in failing:
@@ -120,7 +111,8 @@ def diagnose_small_delay(
             now = (base[net] >> idx) & 1
             if prev == now:
                 continue
-            if not critical_for(net, idx, outs):
+            crit = ctx.flip_signature(Site(net))
+            if not all((crit.get(out, 0) >> idx) & 1 for out in outs):
                 continue
             explained[net] = explained.get(net, 0) + 1
             # delta must push the slowest failing capture past the period.

@@ -47,7 +47,7 @@ from repro.core.xcover import build_xcover
 from repro.errors import DiagnosisError
 from repro.obs.metrics import record_diagnosis, record_sim_delta, record_truncations
 from repro.obs.trace import NULL_TRACER, Tracer, install_tracer, uninstall_tracer
-from repro.sim.cache import sim_context
+from repro.sim.cache import SimContext, sim_context
 from repro.sim.compile import COUNTERS
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
@@ -215,8 +215,7 @@ class Diagnoser:
             )
             if raw is not None or cfg.validate:
                 report = validate_report(
-                    self.netlist,
-                    patterns,
+                    sim_context(self.netlist, patterns),
                     report,
                     raw if raw is not None else datalog,
                 )
@@ -228,9 +227,10 @@ class Diagnoser:
             # The shared simulation context: the fault-free base plus the
             # flip/resim/X-reach memos every downstream stage draws from,
             # reused across runs (campaign trials) on the same circuit and
-            # test set.
+            # test set.  Looked up once and handed to every stage, so a
+            # registry eviction mid-run cannot take it from the die.
             with t.span("context"):
-                base_values = sim_context(self.netlist, patterns).base
+                ctx = sim_context(self.netlist, patterns)
             with t.span("backtrace") as sp_backtrace:
                 if cfg.engine == "pertest":
                     envelope = candidate_sites(
@@ -251,10 +251,10 @@ class Diagnoser:
                     extras,
                     stage_stats,
                     optimality,
-                ) = self._run_pertest(patterns, datalog, envelope, budget, t)
+                ) = self._run_pertest(ctx, datalog, envelope, budget, t)
             else:
                 evidence, multiplet_sets, uncovered, stage_stats = self._run_xcover(
-                    patterns, datalog, base_values, budget, t
+                    ctx, datalog, budget, t
                 )
                 extras = ()
                 optimality = None
@@ -297,11 +297,9 @@ class Diagnoser:
                         )
                         continue
                     hypotheses = allocate_hypotheses(
-                        self.netlist,
-                        patterns,
+                        ctx,
                         datalog,
                         site,
-                        base_values,
                         evidence,
                         cfg.refine,
                         budget=budget,
@@ -361,8 +359,7 @@ class Diagnoser:
                             evidence,
                             group,
                             hypothesis_by_site,
-                            patterns,
-                            base_values,
+                            ctx,
                             counter,
                             skip_iou=scored_out,
                         )
@@ -429,11 +426,7 @@ class Diagnoser:
                 # The oracle emits its own "oracle" span through the active
                 # tracer, nesting under this root on traced runs.
                 report = validate_report(
-                    self.netlist,
-                    patterns,
-                    report,
-                    raw if raw is not None else datalog,
-                    base_values,
+                    ctx, report, raw if raw is not None else datalog
                 )
         record_sim_delta(counters)
         if budget is not None:
@@ -443,14 +436,10 @@ class Diagnoser:
 
     # -- engines -----------------------------------------------------------------
 
-    def _run_pertest(
-        self, patterns, datalog, envelope, budget=None, tracer=NULL_TRACER
-    ):
+    def _run_pertest(self, ctx, datalog, envelope, budget=None, tracer=NULL_TRACER):
         cfg = self.config
         with tracer.span("pertest"):
-            analysis = build_pertest(
-                self.netlist, patterns, datalog, envelope, budget=budget
-            )
+            analysis = build_pertest(ctx, datalog, envelope, budget=budget)
         with tracer.span("cover"):
             solution = greedy_pertest_cover(
                 analysis,
@@ -537,18 +526,11 @@ class Diagnoser:
         }
         return analysis, multiplet_sets, uncovered, tuple(extras), stats, optimality
 
-    def _run_xcover(
-        self, patterns, datalog, base_values, budget=None, tracer=NULL_TRACER
-    ):
+    def _run_xcover(self, ctx, datalog, budget=None, tracer=NULL_TRACER):
         cfg = self.config
         with tracer.span("xcover"):
             xc = build_xcover(
-                self.netlist,
-                patterns,
-                datalog,
-                include_branches=cfg.include_branches,
-                base_values=base_values,
-                budget=budget,
+                ctx, datalog, include_branches=cfg.include_branches, budget=budget
             )
         with tracer.span("cover"):
             solution = greedy_cover(
@@ -582,8 +564,7 @@ class Diagnoser:
         evidence,
         sites: tuple[Site, ...],
         hypothesis_by_site: dict[Site, tuple[Hypothesis, ...]],
-        patterns: PatternSet,
-        base_values: dict[str, int],
+        ctx: SimContext,
         counter: MatchCounter,
         skip_iou: bool = False,
     ) -> Multiplet:
@@ -603,9 +584,7 @@ class Diagnoser:
             )
         )
         if defects is not None:
-            joint = multiplet_iou(
-                self.netlist, patterns, defects, counter, base_values
-            )
+            joint = multiplet_iou(ctx, defects, counter)
             if joint is not None:
                 iou = joint
         return Multiplet(

@@ -26,8 +26,8 @@ from repro.core.xcover import Atom
 from repro.errors import DiagnosisError
 from repro.faults.collapse import collapse_stuck_at
 from repro.faults.models import StuckAtDefect
+from repro.sim.cache import sim_context
 from repro.sim.faultsim import defect_output_diff
-from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
@@ -68,10 +68,10 @@ def build_dictionary(
 ) -> FaultDictionary:
     """Simulate the whole collapsed stuck-at universe (the expensive step)."""
     started = time.perf_counter()
-    base_values = simulate(netlist, patterns)
+    ctx = sim_context(netlist, patterns)
     signatures: dict[StuckAtDefect, frozenset[Atom]] = {}
     for fault in collapse_stuck_at(netlist, include_branches).representatives:
-        diff = defect_output_diff(netlist, patterns, fault, base_values)
+        diff = defect_output_diff(ctx, fault)
         signatures[fault] = diff_to_atoms(diff)
     return FaultDictionary(
         netlist=netlist,

@@ -25,10 +25,9 @@ from typing import Callable, Mapping
 
 from repro._rng import make_rng
 from repro.circuit.netlist import Netlist, Site
-from repro.core.backtrace import flip_criticality
 from repro.core.diagnose import DiagnosisConfig, Diagnoser
 from repro.core.report import DiagnosisReport
-from repro.sim.cache import sim_context
+from repro.sim.cache import SimContext, sim_context
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
@@ -53,9 +52,11 @@ def distinguishing_pattern(
     rng = make_rng(seed)
     for _ in range(max_batches):
         patterns = PatternSet.random(netlist, batch, rng)
-        base = sim_context(netlist, patterns).base
-        sig_a = flip_criticality(netlist, patterns, site_a, base)
-        sig_b = flip_criticality(netlist, patterns, site_b, base)
+        # Each batch is tried once: an unregistered context, so the search
+        # never evicts a context a die still holds.
+        ctx = SimContext(netlist, patterns)
+        sig_a = ctx.flip_signature(site_a)
+        sig_b = ctx.flip_signature(site_b)
         difference = 0
         for out in set(sig_a) | set(sig_b):
             difference |= sig_a.get(out, 0) ^ sig_b.get(out, 0)
@@ -99,13 +100,7 @@ def adaptive_diagnose(
     """
     rng = make_rng(seed)
     diagnoser = Diagnoser(netlist, config)
-    golden = sim_context(netlist, patterns).base
-    observed = device(patterns)
-    diff = {
-        out: (golden[out] ^ observed[out]) & patterns.mask
-        for out in netlist.outputs
-        if (golden[out] ^ observed[out]) & patterns.mask
-    }
+    diff = sim_context(netlist, patterns).output_diff(device(patterns))
     datalog = Datalog.from_output_diff(netlist.name, patterns.n, diff)
     report = diagnoser.diagnose(patterns, datalog)
     initial_resolution = report.resolution
@@ -133,13 +128,7 @@ def adaptive_diagnose(
         patterns = patterns.concat(extra)
         added += extra.n
 
-        golden = sim_context(netlist, patterns).base
-        observed = device(patterns)
-        diff = {
-            out: (golden[out] ^ observed[out]) & patterns.mask
-            for out in netlist.outputs
-            if (golden[out] ^ observed[out]) & patterns.mask
-        }
+        diff = sim_context(netlist, patterns).output_diff(device(patterns))
         datalog = Datalog.from_output_diff(netlist.name, patterns.n, diff)
         report = diagnoser.diagnose(patterns, datalog)
         # New failing patterns can surface fresh equivalents; the session's

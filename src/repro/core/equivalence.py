@@ -18,41 +18,28 @@ grouped until such patterns are applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.circuit.netlist import Netlist, Site
-from repro.core.backtrace import flip_criticality
 from repro.core.report import Candidate, DiagnosisReport
 from repro.sim.cache import sim_context
 from repro.sim.patterns import PatternSet
-
-
-def flip_signature(
-    netlist: Netlist,
-    patterns: PatternSet,
-    site: Site,
-    base_values: Mapping[str, int],
-) -> tuple[tuple[str, int], ...]:
-    """Canonical hashable single-flip signature of a site."""
-    return tuple(sorted(flip_criticality(netlist, patterns, site, base_values).items()))
 
 
 def signature_classes(
     netlist: Netlist,
     patterns: PatternSet,
     sites: Sequence[Site],
-    base_values: Mapping[str, int] | None = None,
 ) -> list[tuple[Site, ...]]:
     """Partition ``sites`` into indistinguishability classes.
 
     Classes are ordered by first appearance; members keep input order.
     """
-    if base_values is None:
-        base_values = sim_context(netlist, patterns).base
-    groups: dict[tuple, list[Site]] = {}
-    order: list[tuple] = []
+    ctx = sim_context(netlist, patterns)
+    groups: dict[frozenset, list[Site]] = {}
+    order: list[frozenset] = []
     for site in sites:
-        key = flip_signature(netlist, patterns, site, base_values)
+        key = frozenset(ctx.flip_signature(site).items())
         if key not in groups:
             groups[key] = []
             order.append(key)
@@ -84,19 +71,17 @@ def group_candidates(
     netlist: Netlist,
     patterns: PatternSet,
     report: DiagnosisReport,
-    base_values: Mapping[str, int] | None = None,
 ) -> list[CandidateClass]:
     """Group a report's candidates into indistinguishability classes.
 
     Class order follows the report's candidate ranking (a class ranks at
     its best member's position).
     """
-    if base_values is None:
-        base_values = sim_context(netlist, patterns).base
-    by_signature: dict[tuple, list[Candidate]] = {}
-    order: list[tuple] = []
+    ctx = sim_context(netlist, patterns)
+    by_signature: dict[frozenset, list[Candidate]] = {}
+    order: list[frozenset] = []
     for candidate in report.candidates:
-        key = flip_signature(netlist, patterns, candidate.site, base_values)
+        key = frozenset(ctx.flip_signature(candidate.site).items())
         if key not in by_signature:
             by_signature[key] = []
             order.append(key)

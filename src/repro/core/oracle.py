@@ -26,9 +26,7 @@ historical format.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping
 
-from repro.circuit.netlist import Netlist
 from repro.core.report import (
     Candidate,
     DiagnosisReport,
@@ -47,9 +45,8 @@ from repro.faults.models import (
     TransitionKind,
 )
 from repro.obs.trace import trace_span
-from repro.sim.cache import sim_context
+from repro.sim.cache import SimContext
 from repro.sim.faultsim import defect_output_diff
-from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
 #: Report-level consistency verdicts (see :func:`validate_report`).
@@ -133,14 +130,10 @@ def _verdict(hits: int, misses: int, false_alarms: int, observed: bool) -> str:
     return "plausible"
 
 
-def validate_report(
-    netlist: Netlist,
-    patterns: PatternSet,
-    report: DiagnosisReport,
-    raw,
-    base_values: Mapping[str, int] | None = None,
-) -> DiagnosisReport:
-    """Self-validate ``report`` against the raw (pre-sanitized) evidence.
+def validate_report(ctx: SimContext, report: DiagnosisReport, raw) -> DiagnosisReport:
+    """Self-validate ``report`` against the raw (pre-sanitized) evidence,
+    resimulating on ``ctx``, the shared context of the netlist and test
+    set the report was diagnosed on.
 
     ``raw`` is the :class:`~repro.tester.noise.RawLog` the tester emitted
     (preferred -- it still carries the quarantined contradictions) or a
@@ -165,20 +158,12 @@ def validate_report(
       multiplet to resimulate).
     """
     with trace_span("oracle"):
-        return _validate_report(netlist, patterns, report, raw, base_values)
+        return _validate_report(ctx, report, raw)
 
 
-def _validate_report(
-    netlist: Netlist,
-    patterns: PatternSet,
-    report: DiagnosisReport,
-    raw,
-    base_values: Mapping[str, int] | None = None,
-) -> DiagnosisReport:
+def _validate_report(ctx: SimContext, report: DiagnosisReport, raw) -> DiagnosisReport:
     observed, failing, n_observed, x_atoms = _raw_evidence(raw)
     counter = MatchCounter(observed, failing, n_observed, x_atoms)
-    if base_values is None:
-        base_values = sim_context(netlist, patterns).base
 
     validated: list[Candidate] = []
     for candidate in report.candidates:
@@ -189,9 +174,7 @@ def _validate_report(
             validation = Validation(verdict="plausible")
         else:
             try:
-                diff = defect_output_diff(
-                    netlist, patterns, hypothesis_to_defect(best), base_values
-                )
+                diff = defect_output_diff(ctx, hypothesis_to_defect(best))
             except OscillationError:
                 validation = Validation(verdict="plausible", kind=best.kind)
             else:
@@ -228,11 +211,7 @@ def _validate_report(
             if best_multiplet is not None
             else None
         )
-        diff = (
-            multiplet_diff(netlist, patterns, defects, base_values)
-            if defects
-            else None
-        )
+        diff = multiplet_diff(ctx, defects) if defects else None
         if diff is not None:
             hits, misses, fa = counter.counts(diff)
             stats["oracle_explained"] = float(hits)

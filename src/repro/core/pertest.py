@@ -57,7 +57,7 @@ from repro.circuit.netlist import Netlist, Site
 from repro.core.budget import Budget
 from repro.core.xcover import Atom
 from repro.obs.trace import trace_span
-from repro.sim.cache import FlipView, Reproducers, SimContext, sim_context
+from repro.sim.cache import FlipView, Reproducers, SimContext
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
@@ -240,8 +240,7 @@ class PerTestAnalysis:
 
 
 def build_pertest(
-    netlist: Netlist,
-    patterns: PatternSet,
+    ctx: SimContext,
     datalog: Datalog,
     envelope: int,
     *,
@@ -249,9 +248,10 @@ def build_pertest(
 ) -> PerTestAnalysis:
     """Exact singleton matches and per-site fail atoms for the sites of
     ``envelope``, a bitset over the netlist's site ids from
-    :func:`~repro.core.backtrace.candidate_sites`.
+    :func:`~repro.core.backtrace.candidate_sites`, answered on ``ctx``,
+    the shared context of the netlist and test set the datalog came from.
 
-    The envelope is swept into the shared context's flip index (a
+    The envelope is swept into the context's flip index (a
     ``pertest.index`` trace span, whose ``new_sites`` counts the sites the
     index had not seen), and the die's questions are then answered from
     it: per failing pattern, the candidates whose lone flip toggles exactly
@@ -265,7 +265,6 @@ def build_pertest(
     states.  On exhaustion the analysis covers only the sites swept so
     far and a ``pertest`` truncation is recorded.
     """
-    ctx = sim_context(netlist, patterns)
     stop = None
     if budget is not None:
         total = popcount(envelope)
@@ -280,11 +279,12 @@ def build_pertest(
         index = ctx.flip_index(envelope, stop)
         if span is not None:
             span.meta = {"new_sites": index.added}
+    netlist = ctx.netlist
     failing = datalog.failing_indices
     atoms = frozenset(datalog.fail_atoms())
     return PerTestAnalysis(
         netlist=netlist,
-        patterns=patterns,
+        patterns=ctx.patterns,
         datalog=datalog,
         sites=index.sites,
         atoms=atoms,

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro._bits import popcount
-from repro.circuit.netlist import Netlist, Site
+from repro.circuit.netlist import Site
 from repro.core.budget import Budget
 from repro.core.report import Hypothesis
 from repro.core.scoring import MatchCounter
@@ -31,8 +30,8 @@ from repro.faults.models import (
     TransitionDefect,
     TransitionKind,
 )
+from repro.sim.cache import SimContext
 from repro.sim.faultsim import defect_output_diff
-from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
 
@@ -60,11 +59,9 @@ def arbitrary_hypothesis(site: Site, xc: XCoverAnalysis) -> Hypothesis:
 
 
 def allocate_hypotheses(
-    netlist: Netlist,
-    patterns: PatternSet,
+    ctx: SimContext,
     datalog: Datalog,
     site: Site,
-    base_values: Mapping[str, int],
     xc: XCoverAnalysis,
     config: RefineConfig | None = None,
     budget: Budget | None = None,
@@ -72,9 +69,11 @@ def allocate_hypotheses(
 ) -> tuple[Hypothesis, ...]:
     """Ranked fault-model hypotheses for one candidate site.
 
-    Each model's response is scored by ``counter``, the datalog's
-    :class:`~repro.core.scoring.MatchCounter` (built here when not given;
-    a caller refining many sites builds it once).
+    Each model's response is read from ``ctx``, the shared context of the
+    netlist and test set the datalog came from, and scored by
+    ``counter``, the datalog's :class:`~repro.core.scoring.MatchCounter`
+    (built here when not given; a caller refining many sites builds it
+    once).
 
     Under a ``budget`` every concrete-model simulation charges one
     expansion and is preceded by a check (after the first, so a site is
@@ -101,7 +100,7 @@ def allocate_hypotheses(
         if budget is not None:
             budget.charge()
         try:
-            diff = defect_output_diff(netlist, patterns, defect, base_values)
+            diff = defect_output_diff(ctx, defect)
         except OscillationError:
             return
         hits, misses, fa = counter.counts(diff)
@@ -132,8 +131,8 @@ def allocate_hypotheses(
         score("str", TransitionDefect(site, TransitionKind.SLOW_TO_RISE))
         score("stf", TransitionDefect(site, TransitionKind.SLOW_TO_FALL))
 
-    if config.try_bridges and site.is_stem and not netlist.is_input(site.net):
-        for aggressor in _aggressor_pool(netlist, patterns, site, base_values, xc, config):
+    if config.try_bridges and site.is_stem and not ctx.netlist.is_input(site.net):
+        for aggressor in _aggressor_pool(ctx, site, xc, config):
             score(
                 "bridge",
                 BridgeDefect(site.net, aggressor),
@@ -145,10 +144,8 @@ def allocate_hypotheses(
 
 
 def _aggressor_pool(
-    netlist: Netlist,
-    patterns: PatternSet,
+    ctx: SimContext,
     site: Site,
-    base_values: Mapping[str, int],
     xc: XCoverAnalysis,
     config: RefineConfig,
 ) -> list[str]:
@@ -159,6 +156,8 @@ def _aggressor_pool(
     failing pattern the victim can explain (otherwise the bridge is never
     activated there), and must not close a structural loop.
     """
+    netlist = ctx.netlist
+    base = ctx.base
     victim = site.net
     victim_level = netlist.level(victim)
     relevant = {idx for idx, _out in xc.atoms_of(site)}
@@ -169,14 +168,14 @@ def _aggressor_pool(
         relevance_mask |= 1 << idx
     victim_cone = netlist.fanout_bits([victim])  # holds the victim itself
     ids = netlist.net_ids
-    victim_value = base_values[victim]
+    victim_value = base[victim]
     scored: list[tuple[int, str]] = []
     distance = config.bridge_level_distance
     for level in range(victim_level - distance, victim_level + distance + 1):
         for net in netlist.nets_at_level(level):
             if victim_cone >> ids[net] & 1:
                 continue
-            count = popcount((base_values[net] ^ victim_value) & relevance_mask)
+            count = popcount((base[net] ^ victim_value) & relevance_mask)
             if count:
                 scored.append((-count, net))
     return [net for _count, net in heapq.nsmallest(config.max_aggressors, scored)]

@@ -32,13 +32,12 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro._bits import popcount
-from repro.circuit.netlist import Netlist
 from repro.core.xcover import Atom
 from repro.errors import OscillationError
 from repro.faults.injection import FaultyCircuit
 from repro.faults.models import Defect
+from repro.sim.cache import SimContext
 from repro.sim.faultsim import defect_output_diff
-from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
 
@@ -164,45 +163,30 @@ class MatchCounter:
         return hits / union if union else 1.0
 
 
-def multiplet_diff(
-    netlist: Netlist,
-    patterns: PatternSet,
-    defects: Iterable[Defect],
-    base_values: Mapping[str, int],
-) -> dict[str, int] | None:
-    """Per-output response of a concrete multiplet injected jointly, or
-    None if it is empty or unsimulable.
+def multiplet_diff(ctx: SimContext, defects: Iterable[Defect]) -> dict[str, int] | None:
+    """Per-output response of a concrete multiplet injected jointly on
+    ``ctx``'s netlist and test set, or None if it is empty or unsimulable.
 
     One defect is read through :func:`~repro.sim.faultsim.defect_output_diff`
-    (so a single-site model costs no resim on the shared context); two or
-    more take the :class:`~repro.faults.injection.FaultyCircuit` fixpoint.
+    (so a single-site model costs no resim of its own); two or more take
+    the :class:`~repro.faults.injection.FaultyCircuit` fixpoint.
     """
     defects = list(defects)
     if not defects:
         return None
     try:
         if len(defects) == 1:
-            return defect_output_diff(netlist, patterns, defects[0], base_values)
-        faulty = FaultyCircuit(netlist, defects).simulate_outputs(patterns)
+            return defect_output_diff(ctx, defects[0])
+        faulty = FaultyCircuit(ctx.netlist, defects).simulate_outputs(ctx.patterns)
     except OscillationError:
         return None
-    mask = patterns.mask
-    diff: dict[str, int] = {}
-    for out in netlist.outputs:
-        delta = (faulty[out] ^ base_values[out]) & mask
-        if delta:
-            diff[out] = delta
-    return diff
+    return ctx.output_diff(faulty)
 
 
 def multiplet_iou(
-    netlist: Netlist,
-    patterns: PatternSet,
-    defects: Iterable[Defect],
-    counter: MatchCounter,
-    base_values: Mapping[str, int],
+    ctx: SimContext, defects: Iterable[Defect], counter: MatchCounter
 ) -> float | None:
     """Joint-simulation IoU of a concrete multiplet against ``counter``'s
     evidence, or None if unsimulable."""
-    diff = multiplet_diff(netlist, patterns, defects, base_values)
+    diff = multiplet_diff(ctx, defects)
     return None if diff is None else counter.iou(diff)

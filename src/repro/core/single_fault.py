@@ -41,16 +41,14 @@ def diagnose_single_fault(
     if datalog.is_passing_device:
         return DiagnosisReport(method=METHOD_NAME, circuit=netlist.name)
 
-    base_values = sim_context(netlist, patterns).base
+    ctx = sim_context(netlist, patterns)
     observed = frozenset(datalog.fail_atoms())
     counter = MatchCounter.of_datalog(datalog)
 
     scored: list[tuple[float, Hypothesis]] = []
     for site in netlist.sites_of(candidate_sites(netlist, datalog, include_branches)):
         for value in (0, 1):
-            diff = defect_output_diff(
-                netlist, patterns, StuckAtDefect(site, value), base_values
-            )
+            diff = defect_output_diff(ctx, StuckAtDefect(site, value))
             hits, misses, fa = counter.counts(diff)
             if not hits:
                 continue
@@ -102,10 +100,7 @@ def diagnose_single_fault(
         best = max(multiplets, key=lambda m: m.covered_atoms)
         best_h = next(h for h in kept if h.site == best.sites[0])
         diff = defect_output_diff(
-            netlist,
-            patterns,
-            StuckAtDefect(best_h.site, int(best_h.kind[-1])),
-            base_values,
+            ctx, StuckAtDefect(best_h.site, int(best_h.kind[-1]))
         )
         uncovered = observed - diff_to_atoms(diff)
     return DiagnosisReport(

@@ -26,8 +26,8 @@ from repro.core.report import Candidate, DiagnosisReport, Hypothesis, Multiplet
 
 from repro.errors import DiagnosisError
 from repro.faults.models import StuckAtDefect
+from repro.sim.cache import sim_context
 from repro.sim.faultsim import defect_output_diff
-from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
@@ -48,7 +48,7 @@ def diagnose_slat(
     if datalog.is_passing_device:
         return DiagnosisReport(method=METHOD_NAME, circuit=netlist.name)
 
-    base_values = simulate(netlist, patterns)
+    ctx = sim_context(netlist, patterns)
     failing = list(datalog.failing_indices)
     observed_by_pattern = {
         idx: datalog.failing_outputs_of(idx) for idx in failing
@@ -60,7 +60,7 @@ def diagnose_slat(
     for site in netlist.sites_of(candidate_sites(netlist, datalog, include_branches)):
         for value in (0, 1):
             fault = StuckAtDefect(site, value)
-            diff = defect_output_diff(netlist, patterns, fault, base_values)
+            diff = defect_output_diff(ctx, fault)
             matched: set[int] = set()
             for idx in failing:
                 predicted_outs = frozenset(

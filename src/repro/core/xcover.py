@@ -21,16 +21,16 @@ restricted for the single-site case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.circuit.gates import tv_all_x, tv_xmask
 from repro.circuit.netlist import Netlist, Site
 from repro.core.backtrace import candidate_sites
 from repro.core.budget import Budget
 from repro.errors import DiagnosisError
-from repro.sim.cache import active_context, sim_context
+from repro.sim.cache import SimContext
 from repro.sim.patterns import PatternSet
-from repro.sim.threeval import simulate3, x_injection_reach
+from repro.sim.threeval import simulate3
 from repro.tester.datalog import Datalog
 
 Atom = tuple[int, str]  # (pattern index, output net)
@@ -43,7 +43,6 @@ class XCoverAnalysis:
     netlist: Netlist
     patterns: PatternSet
     datalog: Datalog
-    base_values: dict[str, int]
     sites: tuple[Site, ...]
     reach: dict[Site, dict[str, int]]
     atoms: frozenset[Atom]
@@ -98,29 +97,24 @@ class XCoverAnalysis:
 
 
 def build_xcover(
-    netlist: Netlist,
-    patterns: PatternSet,
+    ctx: SimContext,
     datalog: Datalog,
     include_branches: bool = True,
-    base_values: Mapping[str, int] | None = None,
     budget: Budget | None = None,
 ) -> XCoverAnalysis:
-    """Run the per-site X analysis over the structural candidate envelope.
+    """Run the per-site X analysis over the structural candidate envelope,
+    reading each site's X reach from ``ctx``, the context of the netlist
+    and test set the datalog came from.
 
     Under a ``budget`` the per-site X-reach sweep is checked per site
     (each charged as one expansion); on exhaustion the analysis covers
     only the sites swept so far and an ``xcover`` truncation is recorded.
     """
+    netlist, patterns = ctx.netlist, ctx.patterns
     if datalog.n_patterns != patterns.n:
         raise DiagnosisError(
             f"datalog covers {datalog.n_patterns} patterns, test set has {patterns.n}"
         )
-    if base_values is None:
-        ctx = sim_context(netlist, patterns)
-        base_values = ctx.base
-    else:
-        # Memoized X reach is only valid against the context's own base.
-        ctx = active_context(netlist, patterns, base_values)
     sites = netlist.sites_of(
         candidate_sites(netlist, datalog, include_branches, budget=budget)
     )
@@ -140,10 +134,7 @@ def build_xcover(
             # Charged per site regardless of memo warmth, so anytime
             # truncation points stay deterministic across cache states.
             budget.charge()
-        if ctx is not None:
-            r = ctx.x_reach(site)
-        else:
-            r = x_injection_reach(netlist, patterns, site, base_values)
+        r = ctx.x_reach(site)
         reach[site] = r
         covered = {
             (idx, out) for idx, out in atoms if r.get(out, 0) >> idx & 1
@@ -154,7 +145,6 @@ def build_xcover(
         netlist=netlist,
         patterns=patterns,
         datalog=datalog,
-        base_values=dict(base_values),
         sites=tuple(sites),
         reach=reach,
         atoms=atoms,

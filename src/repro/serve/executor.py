@@ -138,8 +138,9 @@ def execute_job(spec: JobSpec, token: CancellationToken | None = None,
         report = diagnose_single_fault(netlist, patterns, datalog)
     if oracle_raw is not None and report.consistency is None:
         from repro.core.oracle import validate_report
+        from repro.sim.cache import sim_context
 
-        report = validate_report(netlist, patterns, report, oracle_raw)
+        report = validate_report(sim_context(netlist, patterns), report, oracle_raw)
     return report
 
 

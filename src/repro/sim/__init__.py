@@ -11,8 +11,8 @@
 - :mod:`repro.sim.cache` -- the cross-stage ``SimContext`` memo (base
   values, flip signatures, resim diffs, X reach) keyed by content
   fingerprints,
-- :mod:`repro.sim.faultsim` -- single-fault simulation services for ATPG,
-  the SLAT baseline and candidate refinement.
+- :mod:`repro.sim.faultsim` -- single-defect fault simulation on a
+  ``SimContext``, for ATPG, the baselines, refinement and the oracle.
 """
 
 from repro.sim.patterns import PatternSet
@@ -20,7 +20,7 @@ from repro.sim.logicsim import simulate, simulate_outputs
 from repro.sim.threeval import simulate3, x_injection_reach
 from repro.sim.event import resimulate_with_overrides
 from repro.sim.compile import COUNTERS, SimCounters, backend
-from repro.sim.cache import SimContext, active_context, reset_sim_caches, sim_context
+from repro.sim.cache import SimContext, reset_sim_caches, sim_context
 
 __all__ = [
     "PatternSet",
@@ -33,7 +33,6 @@ __all__ = [
     "SimCounters",
     "backend",
     "SimContext",
-    "active_context",
     "reset_sim_caches",
     "sim_context",
 ]

@@ -32,10 +32,17 @@ once and memoizes:
   bitset over the same ids, and sweeping it in flips only the sites the
   index has not seen (:meth:`SimContext.flip_index`).
 
-Contexts are registered in a bounded LRU keyed by *content* fingerprints
-(netlist hash, pattern-set hash), so campaign trials that share a circuit
-and test set -- even across structurally-equal netlist instances -- reuse
-one context, and mutated inputs miss cleanly.
+A stage that answers questions about one netlist and test set takes the
+context itself and reads ``ctx.netlist``, ``ctx.patterns`` and
+``ctx.base`` from it; a die's diagnosis looks its context up once
+(:func:`sim_context`) and hands that object to every stage.  Contexts are
+registered in a bounded LRU keyed by *content* fingerprints (netlist hash,
+pattern-set hash), so campaign trials that share a circuit and test set --
+even across structurally-equal netlist instances -- reuse one context, and
+mutated inputs miss cleanly.  A pattern set used once (a random batch, a
+test set grown pattern by pattern) gets an unregistered
+``SimContext(netlist, patterns)``, so it never evicts a context a die
+still holds.
 
 Memo hits and misses feed :data:`repro.sim.compile.COUNTERS`; budget
 charging in the engines is deliberately *not* tied to memo hits so anytime
@@ -54,7 +61,7 @@ from repro.circuit.netlist import Netlist, Site
 from repro.errors import SimulationError
 from repro.obs.trace import trace_event
 from repro.sim.compile import COUNTERS, active_kernels, base_slots, reset_kernel_cache
-from repro.sim.event import resim_output_diff
+from repro.sim.event import _resim_interp, changed_outputs
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.sim.threeval import x_injection_reach
@@ -129,64 +136,76 @@ class SimContext:
             COUNTERS.resim_hits += 1
             return diff
         COUNTERS.resim_misses += 1
-        if self._kernels is not None:
-            diff = self._resim_compiled(overrides)
-        else:
-            diff = resim_output_diff(self.netlist, self.base, overrides, self.mask)
+        diff = self._resim_cone(overrides)
         if len(self._resim) >= MAX_MEMO_ENTRIES:
             self._resim.clear()
         self._resim[key] = diff
         return diff
 
-    def _resim_compiled(self, overrides: Mapping[Site, int]) -> dict[str, int]:
-        """Inline compiled cone resim against the context's own base.
+    def _resim_cone(self, overrides: Mapping[Site, int]) -> dict[str, int]:
+        """Cone resim of ``overrides`` against the context's own base, on
+        the context's backend: the memo's one miss path.
 
-        Equivalent to :func:`~repro.sim.event.resim_output_diff` (same
-        validation, same counters) minus the per-call backend dispatch, and
-        with site validation memoized -- the same few hundred sites recur
-        across thousands of what-if queries.
+        Equal to :func:`~repro.sim.event.changed_outputs` of
+        :func:`~repro.sim.event.resimulate_with_overrides` (same
+        validation, same counters), with site validation memoized -- the
+        same few hundred sites recur across thousands of what-if queries
+        -- and only the output values compared.
         """
         netlist = self.netlist
         mask = self.mask
-        kernels = self._kernels
-        program = kernels.program
-        slot_of = program.slot_of
-        gates = netlist.gates
+        base = self.base
         valid = self._valid_sites
-        base = self._base_slots
-        st: dict[int, int] = {}
-        pp: dict[int, int] = {}
-        roots: list[str] = []
+        stem_over: dict[str, int] = {}
+        pin_over: dict[tuple[str, int], int] = {}
         for site, value in overrides.items():
             if site not in valid:
                 netlist.validate_site(site)
                 valid.add(site)
             if value < 0 or value > mask:
                 raise SimulationError(f"override for {site} exceeds pattern width")
-            branch = site.branch
-            if branch is None:
-                roots.append(site.net)
-                st[slot_of[site.net]] = value
-            elif len(overrides) == 1:
-                # A lone pin override is a stem override of its gate, over
-                # the same cone: evaluate the gate here and spare the pin
-                # kernel's codegen.
-                gate = gates[branch[0]]
-                ins = [base[slot_of[src]] for src in gate.inputs]
-                ins[branch[1]] = value
-                roots.append(branch[0])
-                st[slot_of[branch[0]]] = eval2(gate.kind, ins, mask)
+            if site.branch is None:
+                stem_over[site.net] = value
             else:
-                roots.append(branch[0])
-                pp[slot_of[branch[0]] * program.stride + branch[1]] = value
-        cone = netlist.fanout_bits(roots)
+                pin_over[site.branch] = value
+        if not stem_over and len(pin_over) == 1:
+            # A lone pin override is a stem override of its gate, over the
+            # same cone: evaluate the gate here and spare the pin kernel's
+            # codegen.
+            (((gate_net, pin), value),) = pin_over.items()
+            gate = netlist.gates[gate_net]
+            ins = [base[src] for src in gate.inputs]
+            ins[pin] = value
+            stem_over = {gate_net: eval2(gate.kind, ins, mask)}
+            pin_over = {}
+        cone = netlist.fanout_bits([*stem_over, *(gate for gate, _pin in pin_over)])
         COUNTERS.cone_passes += 1
         COUNTERS.gate_evals += popcount(cone)
+        kernels = self._kernels
+        if kernels is None:
+            changed = _resim_interp(netlist, base, stem_over, pin_over, cone, mask)
+            return changed_outputs(netlist, changed, base, mask)
+        program = kernels.program
+        base = self._base_slots
         slots = base.copy()
-        kernels.run2(slots, mask, cone, st, pp)
+        kernels.run2(slots, mask, cone, *program.slot_overrides(stem_over, pin_over))
         diff: dict[str, int] = {}
         for net, slot in self._out_pairs:
             delta = slots[slot] ^ base[slot]
+            if delta:
+                diff[net] = delta
+        return diff
+
+    def output_diff(self, outputs: Mapping[str, int]) -> dict[str, int]:
+        """Per-output delta vectors of the response ``outputs`` (a value
+        vector per primary output, such as a faulty circuit's or a
+        device's) against the fault-free base; outputs that never differ
+        are left out."""
+        base = self.base
+        mask = self.mask
+        diff: dict[str, int] = {}
+        for net in self.netlist.outputs:
+            delta = (outputs[net] ^ base[net]) & mask
             if delta:
                 diff[net] = delta
         return diff
@@ -616,29 +635,6 @@ def sim_context(netlist: Netlist, patterns: PatternSet) -> SimContext:
         ctx = _CONTEXTS.setdefault(key, built)
         _CONTEXTS.move_to_end(key)
         _evict_overflow()
-    return ctx
-
-
-def active_context(
-    netlist: Netlist,
-    patterns: PatternSet,
-    base_values: Mapping[str, int] | None,
-) -> SimContext | None:
-    """The registered context *iff* it is safe to serve ``base_values``.
-
-    Memoized answers are only valid against the context's own base vector;
-    callers supplying a foreign ``base_values`` (an identity check -- a
-    merely-equal dict could still be a different what-if baseline) bypass
-    the memo and fall through to direct simulation.
-    """
-    key = (netlist.fingerprint(), patterns.fingerprint())
-    with _LOCK:
-        ctx = _CONTEXTS.get(key)
-        if ctx is None:
-            return None
-        if base_values is not None and base_values is not ctx.base:
-            return None
-        _CONTEXTS.move_to_end(key)
     return ctx
 
 

@@ -1,15 +1,18 @@
 """Single-defect fault simulation services.
 
-Used by ATPG (coverage grading, fault dropping), the SLAT baseline
-(per-pattern response matching) and diagnosis candidate refinement
-(validating a hypothesized fault model against the datalog).
+Used by ATPG (coverage grading, fault dropping), the baselines (SLAT,
+single-fault, the dictionary, DTPG), diagnosis candidate refinement and
+the validation oracle.  Every service takes the
+:class:`~repro.sim.cache.SimContext` of the netlist and test set it asks
+about and reads the fault-free base from it; :func:`fault_coverage`,
+which grades a whole test set, looks its context up itself.
 
 The fast path expresses a defect as a set of *site overrides* computed from
 fault-free values -- valid whenever the defect's behavior does not depend
 on nets inside its own fanout cone -- and resimulates only the overridden
-cone.  A one-site override (stuck-at, open, transition, byzantine, a
-dominant bridge outside its victim's cone) needs no resimulation of its
-own on the shared context: critical path tracing answers it from its
+cone, through the context's memo.  A one-site override (stuck-at, open,
+transition, byzantine, a dominant bridge outside its victim's cone) needs
+no resimulation of its own: critical path tracing answers it from its
 fanout-free region root's flip, both its detections (the site's critical
 patterns where the override differs from the fault-free value) and its
 per-output response.  Context-dependent cases (e.g. a bridge whose
@@ -35,8 +38,7 @@ from repro.faults.models import (
     TransitionDefect,
     TransitionKind,
 )
-from repro.sim.cache import active_context, sim_context
-from repro.sim.event import resim_output_diff
+from repro.sim.cache import SimContext, sim_context
 from repro.sim.patterns import PatternSet
 
 
@@ -44,36 +46,34 @@ def _prev_shift(vec: int, mask: int) -> int:
     return ((vec << 1) | (vec & 1)) & mask
 
 
-def single_defect_overrides(
-    netlist: Netlist,
-    patterns: PatternSet,
-    defect: Defect,
-    base_values: Mapping[str, int],
-) -> dict[Site, int] | None:
-    """Site-override encoding of ``defect``, or ``None`` if context-dependent.
+def single_defect_overrides(ctx: SimContext, defect: Defect) -> dict[Site, int] | None:
+    """Site-override encoding of ``defect`` on ``ctx``'s base, or ``None``
+    if context-dependent.
 
     The encoding assumes every net the defect *reads* keeps its fault-free
     value, which holds exactly when those nets are outside the defect's own
     fanout cone.
     """
-    mask = patterns.mask
+    netlist = ctx.netlist
+    base = ctx.base
+    mask = ctx.mask
     if isinstance(defect, (StuckAtDefect, OpenDefect)):
         forced = defect.value if isinstance(defect, StuckAtDefect) else defect.float_value
         return {defect.site: mask if forced else 0}
     if isinstance(defect, TransitionDefect):
-        v = base_values[defect.site.net]
+        v = base[defect.site.net]
         prev = _prev_shift(v, mask)
         faulty = (v & prev) if defect.kind is TransitionKind.SLOW_TO_RISE else (v | prev)
         return {defect.site: faulty}
     if isinstance(defect, ByzantineDefect):
-        v = base_values[defect.site.net]
-        return {defect.site: v ^ (defect.flip_vector(patterns.n) & mask)}
+        v = base[defect.site.net]
+        return {defect.site: v ^ (defect.flip_vector(ctx.patterns.n) & mask)}
     if isinstance(defect, BridgeDefect):
         ids = netlist.net_ids
         if netlist.fanout_bits([defect.victim]) >> ids[defect.aggressor] & 1:
             return None
-        a = base_values[defect.aggressor]
-        v = base_values[defect.victim]
+        a = base[defect.aggressor]
+        v = base[defect.victim]
         if defect.kind is BridgeKind.DOMINANT:
             return {Site(defect.victim): a}
         if netlist.fanout_bits([defect.aggressor]) >> ids[defect.victim] & 1:
@@ -83,73 +83,45 @@ def single_defect_overrides(
     return None
 
 
-def _lone_override(
-    netlist: Netlist, overrides: Mapping[Site, int], base_values: Mapping[str, int]
-) -> tuple[Site, int]:
+def _lone_override(ctx: SimContext, overrides: Mapping[Site, int]) -> tuple[Site, int]:
     """The site of a one-site override, and the patterns where the
     override differs from the site's fault-free value."""
     ((site, value),) = overrides.items()
-    netlist.validate_site(site)  # before reading its base value
-    return site, value ^ base_values[site.net]
+    ctx.netlist.validate_site(site)  # before reading its base value
+    return site, value ^ ctx.base[site.net]
 
 
-def defect_output_diff(
-    netlist: Netlist,
-    patterns: PatternSet,
-    defect: Defect,
-    base_values: Mapping[str, int] | None = None,
-) -> dict[str, int]:
+def defect_output_diff(ctx: SimContext, defect: Defect) -> dict[str, int]:
     """Per-output bit vectors of patterns where the defect flips the output.
 
     Only outputs with at least one differing pattern appear.  A defect
-    overriding a single site is answered on the shared context, when it
-    serves ``base_values``, by critical path tracing
+    overriding a single site is answered by critical path tracing
     (:meth:`SimContext.critical_diff
-    <repro.sim.cache.SimContext.critical_diff>`).
+    <repro.sim.cache.SimContext.critical_diff>`), one overriding several
+    by the context's memoized cone resim.
     """
-    if base_values is None:
-        base_values = sim_context(netlist, patterns).base
-    mask = patterns.mask
-    overrides = single_defect_overrides(netlist, patterns, defect, base_values)
-    if overrides is not None:
-        ctx = active_context(netlist, patterns, base_values)
-        if ctx is None:
-            return resim_output_diff(netlist, base_values, overrides, mask)
-        if len(overrides) == 1:
-            return ctx.critical_diff(*_lone_override(netlist, overrides, base_values))
-        return dict(ctx.resim_diff(overrides))
-    faulty = FaultyCircuit(netlist, [defect]).simulate_outputs(patterns)
-    diff: dict[str, int] = {}
-    for net in netlist.outputs:
-        delta = (faulty[net] ^ base_values[net]) & mask
-        if delta:
-            diff[net] = delta
-    return diff
+    overrides = single_defect_overrides(ctx, defect)
+    if overrides is None:
+        faulty = FaultyCircuit(ctx.netlist, [defect]).simulate_outputs(ctx.patterns)
+        return ctx.output_diff(faulty)
+    if len(overrides) == 1:
+        return ctx.critical_diff(*_lone_override(ctx, overrides))
+    return dict(ctx.resim_diff(overrides))
 
 
-def detect_vector(
-    netlist: Netlist,
-    patterns: PatternSet,
-    defect: Defect,
-    base_values: Mapping[str, int] | None = None,
-) -> int:
+def detect_vector(ctx: SimContext, defect: Defect) -> int:
     """Bit vector of patterns that detect ``defect`` on any output.
 
-    A defect overriding a single site is answered on the shared context,
-    when it serves ``base_values``, by critical path tracing
+    A defect overriding a single site is answered by critical path tracing
     (:meth:`SimContext.critical <repro.sim.cache.SimContext.critical>`):
     the patterns where the override differs from the fault-free value and
     complementing the site reaches an output.
     """
-    if base_values is None:
-        base_values = sim_context(netlist, patterns).base
-    overrides = single_defect_overrides(netlist, patterns, defect, base_values)
+    overrides = single_defect_overrides(ctx, defect)
     if overrides is not None and len(overrides) == 1:
-        ctx = active_context(netlist, patterns, base_values)
-        if ctx is not None:
-            return ctx.critical(*_lone_override(netlist, overrides, base_values))
+        return ctx.critical(*_lone_override(ctx, overrides))
     vec = 0
-    for delta in defect_output_diff(netlist, patterns, defect, base_values).values():
+    for delta in defect_output_diff(ctx, defect).values():
         vec |= delta
     return vec
 
@@ -184,11 +156,11 @@ def fault_coverage(
     Defects whose injected circuit oscillates are reported separately as
     ``unsimulable`` rather than silently dropped.
     """
-    base_values = sim_context(netlist, patterns).base
+    ctx = sim_context(netlist, patterns)
     result = FaultCoverageResult()
     for fault in faults:
         try:
-            vec = detect_vector(netlist, patterns, fault, base_values)
+            vec = detect_vector(ctx, fault)
         except OscillationError:
             result.unsimulable.append(fault)
             continue

@@ -13,6 +13,7 @@ from repro.circuit.library import load_circuit
 from repro.circuit.netlist import Site
 from repro.faults.collapse import collapse_stuck_at
 from repro.faults.models import TransitionDefect, TransitionKind
+from repro.sim.cache import sim_context
 from repro.sim.faultsim import detect_vector, fault_coverage
 
 
@@ -154,11 +155,11 @@ class TestTransitionAtpg:
         assert report.coverage > 0.5
         # Every covered target must actually be detected by the pattern set
         # under the consecutive-pair delay semantics.
+        ctx = sim_context(netlist, report.patterns)
         detected = 0
         for site in sites:
             for kind in TransitionKind:
-                vec = detect_vector(netlist, report.patterns, TransitionDefect(site, kind))
-                detected += bool(vec)
+                detected += bool(detect_vector(ctx, TransitionDefect(site, kind)))
         assert detected >= report.n_covered
 
     def test_default_sites_all_stems(self):

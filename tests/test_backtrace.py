@@ -5,8 +5,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.circuit.generators import random_dag
 from repro.circuit.library import load_circuit
-from repro.core.backtrace import candidate_sites, flip_criticality
+from repro.core.backtrace import candidate_sites
 from repro.core.budget import CAUSE_EXPANSIONS, Budget
+from repro.sim.cache import SimContext
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog, FailRecord
@@ -116,15 +117,18 @@ def test_bitset_envelope_is_the_set_union(netlist, data):
 
 
 class TestFlipCriticality:
+    """A site's flip signature is its exact criticality."""
+
     @pytest.mark.parametrize("seed", [0, 5])
     def test_matches_per_pattern_brute_force(self, seed):
         n = random_dag(50, n_inputs=6, n_outputs=4, seed=seed)
         pats = PatternSet.random(n, 12, seed=seed)
-        base = simulate(n, pats)
+        ctx = SimContext(n, pats)
+        base = ctx.base
         from tests.conftest import naive_simulate
 
         for site in [s for s in n.sites() if s.is_stem][::5]:
-            crit = flip_criticality(n, pats, site, base)
+            crit = ctx.flip_signature(site)
             for i in range(pats.n):
                 assignment = pats.pattern(i)
                 golden = naive_simulate(n, assignment)

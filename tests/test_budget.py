@@ -39,6 +39,7 @@ from repro.core.diagnose import DiagnosisConfig, Diagnoser
 from repro.core.pertest import build_pertest
 from repro.core.xcover import build_xcover
 from repro.faults.models import StuckAtDefect
+from repro.sim.cache import sim_context
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog, FailRecord
 from repro.tester.harness import apply_test
@@ -178,7 +179,9 @@ class TestStageBoundaries:
         envelope = candidate_sites(rca6, datalog)
         sites = rca6.sites_of(envelope)
         budget = spent_budget()
-        analysis = build_pertest(rca6, pats, datalog, envelope, budget=budget)
+        analysis = build_pertest(
+            sim_context(rca6, pats), datalog, envelope, budget=budget
+        )
         assert len(analysis.sites) == 1
         assert analysis.sites[0] == sites[0]
         trunc = budget.truncations[0]
@@ -186,14 +189,14 @@ class TestStageBoundaries:
 
     def test_xcover_sweeps_one_site_then_stops(self, rca6, pats, datalog):
         budget = spent_budget()
-        xc = build_xcover(rca6, pats, datalog, budget=budget)
+        xc = build_xcover(sim_context(rca6, pats), datalog, budget=budget)
         # backtrace truncates first, then the reach sweep covers one site.
         assert len(xc.sites) == 1
         assert [t.stage for t in budget.truncations] == ["backtrace", "xcover"]
 
     def test_cover_enumeration_is_prefix_consistent(self, rca6, pats, datalog):
         envelope = candidate_sites(rca6, datalog)
-        analysis = build_pertest(rca6, pats, datalog, envelope)
+        analysis = build_pertest(sim_context(rca6, pats), datalog, envelope)
         solution = greedy_pertest_cover(analysis)
         seeds = solution.sites + solution.pair_candidates
         full = enumerate_pertest_min_covers(analysis, seed_sites=seeds, max_size=3)

@@ -9,8 +9,8 @@ from repro.circuit.generators import c17, random_dag
 from repro.circuit.netlist import Site
 from repro.faults.collapse import collapse_stuck_at
 from repro.faults.models import StuckAtDefect
+from repro.sim.cache import sim_context
 from repro.sim.faultsim import defect_output_diff
-from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 
 
@@ -77,12 +77,11 @@ class TestBehavioralOracle:
     def test_classes_share_detection_signature(self, make):
         n = make()
         pats = PatternSet.exhaustive(n)
-        base = simulate(n, pats)
+        ctx = sim_context(n, pats)
         result = collapse_stuck_at(n)
         for cls in result.classes:
             signatures = {
-                tuple(sorted(defect_output_diff(n, pats, f, base).items()))
-                for f in cls
+                tuple(sorted(defect_output_diff(ctx, f).items())) for f in cls
             }
             assert len(signatures) == 1, f"class {list(map(str, cls))} not equivalent"
 

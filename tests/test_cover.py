@@ -17,7 +17,7 @@ from repro.core.cover import (
 from repro.core.pertest import build_pertest
 from repro.core.xcover import build_xcover
 from repro.faults.models import StuckAtDefect
-from repro.sim.logicsim import simulate
+from repro.sim.cache import sim_context
 from repro.sim.patterns import PatternSet
 from repro.tester.harness import apply_test
 
@@ -25,10 +25,10 @@ from repro.tester.harness import apply_test
 def _setup(netlist, patterns, defects):
     result = apply_test(netlist, patterns, defects)
     assert result.device_fails
-    base = simulate(netlist, patterns)
+    ctx = sim_context(netlist, patterns)
     envelope = candidate_sites(netlist, result.datalog)
-    pt = build_pertest(netlist, patterns, result.datalog, envelope)
-    xc = build_xcover(netlist, patterns, result.datalog, base_values=base)
+    pt = build_pertest(ctx, result.datalog, envelope)
+    xc = build_xcover(ctx, result.datalog)
     return result, pt, xc
 
 
@@ -80,7 +80,7 @@ class TestGreedyPerTest:
         defects = [StuckAtDefect(Site("x"), 1), StuckAtDefect(Site("y"), 1)]
         result = apply_test(n, pats, defects)
         envelope = candidate_sites(n, result.datalog)
-        pt = build_pertest(n, pats, result.datalog, envelope)
+        pt = build_pertest(sim_context(n, pats), result.datalog, envelope)
         # Pattern (0,0) fails only because BOTH x and y are forced to 1.
         assert (0, "z") in pt.atoms
         solution = greedy_pertest_cover(pt)
@@ -103,7 +103,7 @@ class TestEnumeratePerTest:
 
     def test_empty_for_passing_device(self, rca6, pats):
         result = apply_test(rca6, pats, [])
-        pt = build_pertest(rca6, pats, result.datalog, 0)
+        pt = build_pertest(sim_context(rca6, pats), result.datalog, 0)
         assert enumerate_pertest_min_covers(pt) == []
 
 
@@ -150,7 +150,8 @@ def _three_islands_pertest():
     ]
     result = apply_test(n, pats, defects)
     assert result.device_fails
-    return build_pertest(n, pats, result.datalog, candidate_sites(n, result.datalog))
+    envelope = candidate_sites(n, result.datalog)
+    return build_pertest(sim_context(n, pats), result.datalog, envelope)
 
 
 class TestSizeCapRegression:
@@ -229,5 +230,5 @@ class TestDeterminismAndEdges:
         """A failing device with no candidate sites enumerates to no
         covers instead of crashing."""
         result = apply_test(rca6, pats, [StuckAtDefect(Site("b1"), 1)])
-        pt = build_pertest(rca6, pats, result.datalog, 0)
+        pt = build_pertest(sim_context(rca6, pats), result.datalog, 0)
         assert enumerate_pertest_min_covers(pt) == []

@@ -22,7 +22,7 @@ from repro.faults.models import (
 )
 from repro.sim.cache import reset_sim_caches, sim_context
 from repro.sim.compile import COUNTERS, kernels_for
-from repro.sim.event import resim_output_diff
+from repro.sim.event import changed_outputs, resimulate_with_overrides
 from repro.sim.faultsim import (
     defect_output_diff,
     detect_vector,
@@ -70,18 +70,19 @@ def _check_against_resim(netlist, patterns, seed):
     for site in _every_site(netlist):
         critical = ctx.critical(site)
         for defect in _single_site_defects(netlist, site, rng):
-            overrides = single_defect_overrides(netlist, patterns, defect, base)
+            overrides = single_defect_overrides(ctx, defect)
             ((target, value),) = overrides.items()
             assert target == site, str(defect)
             active = value ^ base[site.net]
-            resim = resim_output_diff(netlist, base, overrides, mask)
+            changed = resimulate_with_overrides(netlist, base, overrides, mask)
+            resim = changed_outputs(netlist, changed, base, mask)
             want = 0
             for delta in resim.values():
                 want |= delta
             assert critical & active == want, str(defect)
             assert ctx.critical(site, active) == want, str(defect)
-            assert detect_vector(netlist, patterns, defect) == want, str(defect)
-            assert defect_output_diff(netlist, patterns, defect) == resim, str(defect)
+            assert detect_vector(ctx, defect) == want, str(defect)
+            assert defect_output_diff(ctx, defect) == resim, str(defect)
             assert ctx.critical_diff(site, active) == resim, str(defect)
 
 
@@ -142,7 +143,7 @@ def test_flipped_roots_answer_every_single_site_model():
     answered = 0
     for site in _every_site(netlist):
         for defect in _single_site_defects(netlist, site, rng):
-            defect_output_diff(netlist, patterns, defect)
+            defect_output_diff(ctx, defect)
             answered += 1
     assert answered > 1500
     assert COUNTERS.cone_passes == before

@@ -6,7 +6,9 @@ from repro.circuit.generators import alu, c17, mux_tree, random_dag, ripple_carr
 from repro.circuit.netlist import Site
 from repro.errors import SimulationError
 from repro.faults.models import StuckAtDefect
+from repro.sim.cache import sim_context
 from repro.sim.deductive import deductive_coverage, deductive_detects
+from repro.sim.event import changed_outputs, resimulate_with_overrides
 from repro.sim.faultsim import detect_vector
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
@@ -33,14 +35,19 @@ def test_matches_serial_fault_simulation(make):
     netlist = make()
     patterns = PatternSet.random(netlist, 24, seed=5)
     base = simulate(netlist, patterns)
+    mask = patterns.mask
     faults = _stem_faults(netlist)
     deduced = deductive_detects(netlist, patterns, faults, base)
+    ctx = sim_context(netlist, patterns)
     for fault in faults:
-        serial = detect_vector(netlist, patterns, fault, base)
+        forced = {fault.site: mask if fault.value else 0}
+        changed = resimulate_with_overrides(netlist, base, forced, mask)
+        serial = 0
+        for delta in changed_outputs(netlist, changed, base, mask).values():
+            serial |= delta
         assert deduced[fault] == serial, str(fault)
-        # Without a base of its own, grading traces critical paths on the
-        # shared context.
-        assert detect_vector(netlist, patterns, fault) == serial, str(fault)
+        # Grading traces critical paths on the shared context.
+        assert detect_vector(ctx, fault) == serial, str(fault)
 
 
 def test_default_fault_list_is_all_stems(c17_netlist):
@@ -60,9 +67,8 @@ def test_coverage_matches_serial(rca4):
     patterns = PatternSet.random(rca4, 32, seed=6)
     faults = _stem_faults(rca4)
     cov = deductive_coverage(rca4, patterns, faults)
-    serial_detected = sum(
-        1 for f in faults if detect_vector(rca4, patterns, f)
-    )
+    ctx = sim_context(rca4, patterns)
+    serial_detected = sum(1 for f in faults if detect_vector(ctx, f))
     assert cov == pytest.approx(serial_detected / len(faults))
 
 

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.campaign.driver import provision_patterns
+from repro.campaign.samplers import DEFAULT_MIX, sample_defect_set
 from repro.circuit.generators import alu, ripple_carry_adder
+from repro.circuit.library import load_circuit
 from repro.circuit.netlist import Site
+from repro.core import diagnose as diagnose_mod
 from repro.core.diagnose import DiagnosisConfig, Diagnoser, diagnose
 from repro.errors import DiagnosisError
 from repro.faults.models import (
@@ -14,6 +18,8 @@ from repro.faults.models import (
     TransitionDefect,
     TransitionKind,
 )
+from repro.serve.protocol import canonical_report_json
+from repro.sim.cache import MAX_CONTEXTS, reset_sim_caches, sim_context
 from repro.sim.patterns import PatternSet
 from repro.tester.harness import apply_test
 
@@ -175,3 +181,28 @@ class TestPipelineMechanics:
         ).diagnose(pats, result.datalog)
         rich = Diagnoser(rca6).diagnose(pats, result.datalog)
         assert len(lean.candidates) <= len(rich.candidates)
+
+    def test_die_keeps_its_context_under_eviction(self, monkeypatch):
+        """A die looks its context up once and keeps it: a registry that
+        evicts the context mid-run changes neither the report nor the
+        simulation work."""
+        netlist = load_circuit("alu8")
+        patterns = provision_patterns(netlist)
+        defects = sample_defect_set(netlist, 2, seed=1, mix=DEFAULT_MIX)
+        datalog = apply_test(netlist, patterns, defects).datalog
+        reset_sim_caches()
+        cold = Diagnoser(netlist).diagnose(patterns, datalog)
+
+        fillers = [PatternSet.random(netlist, 8, seed=s) for s in range(MAX_CONTEXTS)]
+        allocate = diagnose_mod.allocate_hypotheses
+
+        def evicting(*args, **kwargs):
+            for filler in fillers:
+                sim_context(netlist, filler)
+            return allocate(*args, **kwargs)
+
+        monkeypatch.setattr(diagnose_mod, "allocate_hypotheses", evicting)
+        reset_sim_caches()
+        evicted = Diagnoser(netlist).diagnose(patterns, datalog)
+        assert canonical_report_json(evicted) == canonical_report_json(cold)
+        assert evicted.stats["sim_cone_passes"] == cold.stats["sim_cone_passes"]

@@ -12,6 +12,7 @@ from repro.circuit.generators import c17, ripple_carry_adder
 from repro.circuit.netlist import Site
 from repro.faults.collapse import collapse_stuck_at
 from repro.faults.models import StuckAtDefect
+from repro.sim.cache import context_cache_size, reset_sim_caches, sim_context
 from repro.sim.patterns import PatternSet
 
 
@@ -67,6 +68,30 @@ class TestExpand:
         report = expand_diagnostic(netlist, pats, seed=1, max_batches_per_pair=2)
         assert report.pairs_after == report.pairs_before
         assert len(report.unresolvable_pairs) == report.pairs_before
+
+    def test_intermediate_pattern_sets_leave_the_registry_alone(self):
+        """Trial batches and grown pattern sets are intermediates: however
+        many the search builds, only the input test set's context is
+        registered."""
+        b = NetlistBuilder("t")
+        a, c = b.inputs("a", "c")
+        b.output(b.and_(b.buf(a, name="x"), c, name="z"))
+        buffered = b.build()
+        # A stuck buffer input and output are never told apart, so every
+        # trial batch of the pair runs.
+        never = [StuckAtDefect(Site("a"), 0), StuckAtDefect(Site("x"), 0)]
+        rca = ripple_carry_adder(4)
+        for netlist, pats, faults, unresolved, added in (
+            (buffered, PatternSet.exhaustive(buffered), never, 1, 0),
+            (rca, PatternSet.random(rca, 4, seed=3), None, 0, 5),
+        ):
+            reset_sim_caches()
+            ctx = sim_context(netlist, pats)
+            report = expand_diagnostic(netlist, pats, faults=faults, seed=5)
+            assert len(report.unresolvable_pairs) == unresolved
+            assert report.patterns_added == added
+            assert context_cache_size() == 1
+            assert sim_context(netlist, pats) is ctx
 
     def test_budget_respected(self):
         netlist = ripple_carry_adder(4)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.generators import ripple_carry_adder
+from repro.circuit.library import load_circuit
 from repro.circuit.netlist import Site
 from repro.core.distinguish import (
     adaptive_diagnose,
@@ -11,7 +12,12 @@ from repro.core.distinguish import (
 )
 from repro.faults.injection import FaultyCircuit
 from repro.faults.models import StuckAtDefect
-from repro.sim.logicsim import simulate
+from repro.sim.cache import (
+    SimContext,
+    context_cache_size,
+    reset_sim_caches,
+    sim_context,
+)
 from repro.sim.patterns import PatternSet
 
 from tests.conftest import naive_simulate
@@ -27,13 +33,8 @@ class TestDistinguishingPattern:
         pattern = distinguishing_pattern(rca, Site("a0"), Site("b5"), seed=1)
         assert pattern is not None
         # Verify: flipping the two sites under this pattern differs on >=1 output.
-        pats = PatternSet.from_vectors(rca.inputs, [pattern])
-        base = simulate(rca, pats)
-        from repro.core.backtrace import flip_criticality
-
-        sig_a = flip_criticality(rca, pats, Site("a0"), base)
-        sig_b = flip_criticality(rca, pats, Site("b5"), base)
-        assert sig_a != sig_b
+        ctx = SimContext(rca, PatternSet.from_vectors(rca.inputs, [pattern]))
+        assert ctx.flip_signature(Site("a0")) != ctx.flip_signature(Site("b5"))
 
     def test_none_for_equivalent_sites(self):
         """An inverter's input and output flips are indistinguishable."""
@@ -48,6 +49,19 @@ class TestDistinguishingPattern:
         p1 = distinguishing_pattern(rca, Site("a0"), Site("b5"), seed=9)
         p2 = distinguishing_pattern(rca, Site("a0"), Site("b5"), seed=9)
         assert p1 == p2
+
+    def test_batches_leave_the_registry_alone(self):
+        """Random batches are tried once: registering each would fill the
+        registry and evict the context a die still holds."""
+        netlist = load_circuit("alu8")
+        patterns = PatternSet.random(netlist, 32, seed=1)
+        reset_sim_caches()
+        ctx = sim_context(netlist, patterns)
+        site = Site(netlist.topo_order[0])
+        # A site paired with itself is never distinguished: every batch runs.
+        assert distinguishing_pattern(netlist, site, site, max_batches=20) is None
+        assert context_cache_size() == 1
+        assert sim_context(netlist, patterns) is ctx
 
 
 class TestAdaptiveDiagnose:

@@ -8,12 +8,11 @@ from repro.circuit.netlist import Site
 from repro.core.diagnose import Diagnoser
 from repro.core.equivalence import (
     classed_resolution,
-    flip_signature,
     group_candidates,
     signature_classes,
 )
 from repro.faults.models import StuckAtDefect
-from repro.sim.logicsim import simulate
+from repro.sim.cache import SimContext
 from repro.sim.patterns import PatternSet
 from repro.tester.harness import apply_test
 
@@ -49,10 +48,8 @@ class TestSignatureClasses:
 
     def test_signature_deterministic(self, chain):
         pats = PatternSet.exhaustive(chain)
-        base = simulate(chain, pats)
-        assert flip_signature(chain, pats, Site("x"), base) == flip_signature(
-            chain, pats, Site("x"), base
-        )
+        first = SimContext(chain, pats).flip_signature(Site("x"))
+        assert SimContext(chain, pats).flip_signature(Site("x")) == first
 
     def test_order_stable(self, chain):
         pats = PatternSet.exhaustive(chain)

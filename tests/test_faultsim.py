@@ -17,6 +17,7 @@ from repro.faults.models import (
     TransitionKind,
 )
 from repro.sim import faultsim
+from repro.sim.cache import sim_context
 from repro.sim.faultsim import (
     FaultCoverageResult,
     defect_output_diff,
@@ -51,57 +52,57 @@ def dag_patterns(dag):
 
 class TestOverridesAgreeWithFullSim:
     def test_stuck_and_open(self, dag, dag_patterns):
-        base = simulate(dag, dag_patterns)
+        ctx = sim_context(dag, dag_patterns)
         for site in dag.sites()[::7]:
             for defect in (StuckAtDefect(site, 0), OpenDefect(site, 1)):
-                got = defect_output_diff(dag, dag_patterns, defect, base)
+                got = defect_output_diff(ctx, defect)
                 assert got == _reference_diff(dag, dag_patterns, defect), str(defect)
 
     def test_transition(self, dag, dag_patterns):
-        base = simulate(dag, dag_patterns)
+        ctx = sim_context(dag, dag_patterns)
         for site in dag.sites()[::9]:
             for kind in TransitionKind:
                 defect = TransitionDefect(site, kind)
-                got = defect_output_diff(dag, dag_patterns, defect, base)
+                got = defect_output_diff(ctx, defect)
                 assert got == _reference_diff(dag, dag_patterns, defect), str(defect)
 
     def test_byzantine(self, dag, dag_patterns):
-        base = simulate(dag, dag_patterns)
+        ctx = sim_context(dag, dag_patterns)
         defect = ByzantineDefect(Site(dag.topo_order[30]), seed=77, activity=0.3)
-        got = defect_output_diff(dag, dag_patterns, defect, base)
+        got = defect_output_diff(ctx, defect)
         assert got == _reference_diff(dag, dag_patterns, defect)
 
     def test_forward_bridge_fast_path(self, dag, dag_patterns):
-        base = simulate(dag, dag_patterns)
+        ctx = sim_context(dag, dag_patterns)
         # Pick a victim whose cone misses some other net -> legal aggressor.
         victim = dag.topo_order[40]
         cone = dag.fanout_cone([victim])
         aggressor = next(net for net in dag.nets() if net not in cone)
         defect = BridgeDefect(victim, aggressor, BridgeKind.DOMINANT)
-        overrides = single_defect_overrides(dag, dag_patterns, defect, base)
+        overrides = single_defect_overrides(ctx, defect)
         assert overrides is not None
-        got = defect_output_diff(dag, dag_patterns, defect, base)
+        got = defect_output_diff(ctx, defect)
         assert got == _reference_diff(dag, dag_patterns, defect)
         # One overridden site: graded by critical path tracing.
         detected = 0
         for delta in got.values():
             detected |= delta
-        assert detect_vector(dag, dag_patterns, defect) == detected
+        assert detect_vector(ctx, defect) == detected
 
     def test_backward_bridge_falls_back(self, dag, dag_patterns):
-        base = simulate(dag, dag_patterns)
+        ctx = sim_context(dag, dag_patterns)
         victim = dag.topo_order[5]
         cone = dag.fanout_cone([victim])
         inside = next(net for net in dag.topo_order[6:] if net in cone)
         defect = BridgeDefect(victim, inside, BridgeKind.DOMINANT)
-        assert single_defect_overrides(dag, dag_patterns, defect, base) is None
+        assert single_defect_overrides(ctx, defect) is None
 
 
 class TestDetection:
     def test_detect_vector_or_of_outputs(self, tiny_and):
         pats = PatternSet.exhaustive(tiny_and)
         fault = StuckAtDefect(Site("ab"), 1)
-        vec = detect_vector(tiny_and, pats, fault)
+        vec = detect_vector(sim_context(tiny_and, pats), fault)
         # ab sa1 flips z wherever ab==0 and c==0.
         base = simulate(tiny_and, pats)
         want = (~base["ab"]) & (~pats.bits["c"]) & pats.mask

@@ -21,6 +21,7 @@ from repro.core.pertest import build_pertest
 from repro.core.report import DiagnosisReport
 from repro.errors import DiagnosisError
 from repro.faults.models import StuckAtDefect
+from repro.sim.cache import sim_context
 from repro.sim.patterns import PatternSet
 from repro.tester.harness import apply_test
 
@@ -29,7 +30,7 @@ def _analysis(netlist, patterns, defects):
     result = apply_test(netlist, patterns, defects)
     assert result.device_fails
     envelope = candidate_sites(netlist, result.datalog)
-    return build_pertest(netlist, patterns, result.datalog, envelope)
+    return build_pertest(sim_context(netlist, patterns), result.datalog, envelope)
 
 
 def _engine_inputs(analysis):
@@ -127,7 +128,8 @@ def two_islands():
     )
     defects = [StuckAtDefect(Site("x1"), 0), StuckAtDefect(Site("x2"), 0)]
     result = apply_test(n, pats, defects)
-    return build_pertest(n, pats, result.datalog, candidate_sites(n, result.datalog))
+    envelope = candidate_sites(n, result.datalog)
+    return build_pertest(sim_context(n, pats), result.datalog, envelope)
 
 
 class TestTwoIslands:
@@ -159,7 +161,7 @@ class TestTwoIslands:
 class TestStatuses:
     def test_empty_failing_is_optimal(self, rca6, pats):
         result = apply_test(rca6, pats, [])
-        pt = build_pertest(rca6, pats, result.datalog, 0)
+        pt = build_pertest(sim_context(rca6, pats), result.datalog, 0)
         hs = hitting_set_cover(pt)
         assert hs.optimality == OPTIMALITY_OPTIMAL
         assert hs.covers == ()

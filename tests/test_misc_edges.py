@@ -78,6 +78,7 @@ class TestCoverEdges:
         from repro.core.cover import enumerate_pertest_min_covers
         from repro.core.pertest import build_pertest
         from repro.faults.models import StuckAtDefect
+        from repro.sim.cache import sim_context
         from repro.sim.patterns import PatternSet
         from repro.tester.harness import apply_test
 
@@ -85,7 +86,7 @@ class TestCoverEdges:
         pats = PatternSet.random(netlist, 24, seed=3)
         result = apply_test(netlist, pats, [StuckAtDefect(Site("a1"), 1)])
         envelope = candidate_sites(netlist, result.datalog)
-        analysis = build_pertest(netlist, pats, result.datalog, envelope)
+        analysis = build_pertest(sim_context(netlist, pats), result.datalog, envelope)
         covers = enumerate_pertest_min_covers(analysis, max_checks=1)
         assert len(covers) <= 1  # budget respected, no crash
 

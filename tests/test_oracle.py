@@ -20,6 +20,7 @@ from repro.faults.models import (
     StuckAtDefect,
     TransitionDefect,
 )
+from repro.sim.cache import sim_context
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog, FailRecord
 from repro.tester.harness import apply_test
@@ -139,7 +140,7 @@ class TestRefutation:
                 Multiplet(sites=(Site("23"),), covered_atoms=1, total_atoms=1),
             ),
         )
-        validated = validate_report(netlist, patterns, report, datalog)
+        validated = validate_report(sim_context(netlist, patterns), report, datalog)
         verdicts = {str(c.site): c.validation.verdict for c in validated.candidates}
         assert verdicts["22"] == "refuted"
         assert verdicts["23"] != "refuted"
@@ -162,7 +163,7 @@ class TestRefutation:
                 Multiplet(sites=(Site("22"),), covered_atoms=0, total_atoms=1),
             ),
         )
-        validated = validate_report(netlist, patterns, report, datalog)
+        validated = validate_report(sim_context(netlist, patterns), report, datalog)
         assert validated.consistency == "refuted"
         assert validated.stats["oracle_explained"] == 0.0
 
@@ -183,7 +184,7 @@ class TestRefutation:
                 Multiplet(sites=(Site("16"),), covered_atoms=1, total_atoms=1),
             ),
         )
-        validated = validate_report(netlist, patterns, report, datalog)
+        validated = validate_report(sim_context(netlist, patterns), report, datalog)
         assert validated.consistency == "unvalidated"
         assert validated.candidates[0].validation.verdict == "plausible"
 

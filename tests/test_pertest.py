@@ -33,7 +33,8 @@ def _analysis(netlist, patterns, defects):
     if result.datalog.is_passing_device:
         pytest.skip("defects invisible to this test set")
     envelope = candidate_sites(netlist, result.datalog)
-    return build_pertest(netlist, patterns, result.datalog, envelope), result
+    ctx = sim_context(netlist, patterns)
+    return build_pertest(ctx, result.datalog, envelope), result
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +124,7 @@ class TestMaskingPairSearch:
         defects = [StuckAtDefect(Site("x"), 1), StuckAtDefect(Site("y"), 1)]
         result = apply_test(n, pats, defects)
         envelope = candidate_sites(n, result.datalog)
-        analysis = build_pertest(n, pats, result.datalog, envelope)
+        analysis = build_pertest(sim_context(n, pats), result.datalog, envelope)
         # Find a failing pattern with no singleton explanation, if any;
         # on it, the pair search must produce an exact pair.
         for idx in result.datalog.failing_indices:
@@ -261,7 +262,7 @@ class TestSharedContextEquivalence:
             assert datalog.n_observed < datalog.n_patterns or n_failing == 1
             assert datalog.x_atoms
         envelope = candidate_sites(netlist, datalog)
-        analysis = build_pertest(netlist, patterns, datalog, envelope)
+        analysis = build_pertest(sim_context(netlist, patterns), datalog, envelope)
         oracle = _SubsetOracle(netlist, patterns, datalog)
         sites = netlist.sites_of(envelope)
         _assert_single_flips_match(analysis, oracle, sites)
@@ -375,15 +376,17 @@ class TestFlipIndex:
 
         def governed(cut):
             budget = Budget(max_expansions=cut)
-            analysis = build_pertest(netlist, patterns, die, envelope, budget=budget)
+            ctx = sim_context(netlist, patterns)
+            analysis = build_pertest(ctx, die, envelope, budget=budget)
             return budget.truncations, analysis
 
         for cut in (1, 2, n // 3, n // 2, n - 1):
             reset_sim_caches()
             cold_cut, cold = governed(cut)
             reset_sim_caches()
-            build_pertest(netlist, patterns, other, candidate_sites(netlist, other))
-            assert sim_context(netlist, patterns)._index.indexed
+            ctx = sim_context(netlist, patterns)
+            build_pertest(ctx, other, candidate_sites(netlist, other))
+            assert ctx._index.indexed
             warm_cut, warm = governed(cut)
 
             assert len(cold_cut) == 1 and cold_cut[0].stage == "pertest"
@@ -400,9 +403,10 @@ class TestFlipIndex:
         patterns = PatternSet.random(netlist, 40, seed=4)
         die, _ = _failing_die(netlist, patterns, 1, seed=9)
         envelope = candidate_sites(netlist, die)
-        build_pertest(netlist, patterns, die, envelope)
+        ctx = sim_context(netlist, patterns)
+        build_pertest(ctx, die, envelope)
         before = COUNTERS.snapshot()
-        build_pertest(netlist, patterns, die, envelope)
+        build_pertest(ctx, die, envelope)
         delta = COUNTERS.delta(before)
         assert delta["flip_misses"] == 0
         assert delta["cone_passes"] == 0
@@ -415,12 +419,12 @@ class TestFlipIndex:
         patterns = PatternSet.random(netlist, 40, seed=4)
         die, _ = _failing_die(netlist, patterns, 1, seed=9)
         envelope = candidate_sites(netlist, die)
-        cold = build_pertest(netlist, patterns, die, envelope)
         ctx = sim_context(netlist, patterns)
+        cold = build_pertest(ctx, die, envelope)
         hashes = _SiteHashCounter(monkeypatch)
         view = ctx.flip_index(envelope)
         swept = hashes.calls
-        warm = build_pertest(netlist, patterns, die, envelope)
+        warm = build_pertest(ctx, die, envelope)
         monkeypatch.undo()
         assert swept == 0 and hashes.calls == 0
         assert view.added == 0
@@ -439,11 +443,12 @@ class TestFlipIndex:
         assert a.sites_by_id == b.sites_by_id
         patterns = PatternSet.random(a, 40, seed=4)
         die, _ = _failing_die(a, patterns, 1, seed=9)
-        first = build_pertest(a, patterns, die, candidate_sites(a, die))
-        assert sim_context(b, patterns).netlist is a
+        first = build_pertest(sim_context(a, patterns), die, candidate_sites(a, die))
+        ctx = sim_context(b, patterns)
+        assert ctx.netlist is a
         envelope = candidate_sites(b, die)
         hashes = _SiteHashCounter(monkeypatch)
-        second = build_pertest(b, patterns, die, envelope)
+        second = build_pertest(ctx, die, envelope)
         monkeypatch.undo()
         assert hashes.calls == 0
         assert second.sites == first.sites
@@ -596,7 +601,7 @@ class TestEvidence:
             envelope = candidate_sites(
                 netlist, datalog, include_branches=variant == "envelope"
             )
-            analysis = build_pertest(netlist, patterns, datalog, envelope)
+            analysis = build_pertest(sim_context(netlist, patterns), datalog, envelope)
             evidence = analysis.evidence
             by_atoms = _atoms_then_name(analysis)
 

@@ -15,6 +15,7 @@ from repro.circuit.netlist import Netlist, Site
 from repro.errors import AtpgError
 from repro.faults.collapse import collapse_stuck_at
 from repro.faults.models import StuckAtDefect
+from repro.sim.cache import sim_context
 from repro.sim.faultsim import detect_vector
 from repro.sim.patterns import PatternSet
 from repro.sim.threeval import simulate3
@@ -22,7 +23,7 @@ from repro.sim.threeval import simulate3
 
 def _assert_detects(netlist, pattern, fault):
     pats = PatternSet.from_vectors(netlist.inputs, [pattern])
-    assert detect_vector(netlist, pats, fault) == 1, str(fault)
+    assert detect_vector(sim_context(netlist, pats), fault) == 1, str(fault)
 
 
 @pytest.mark.parametrize(
@@ -41,7 +42,7 @@ def test_detects_every_collapsed_fault(make):
         else:
             # Claimed untestable: exhaustive simulation must agree.
             pats = PatternSet.exhaustive(netlist)
-            assert detect_vector(netlist, pats, fault) == 0, str(fault)
+            assert detect_vector(sim_context(netlist, pats), fault) == 0, str(fault)
 
 
 def test_untestable_redundant_fault():

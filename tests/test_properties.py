@@ -16,6 +16,7 @@ from repro.core.backtrace import candidate_sites
 from repro.core.pertest import build_pertest
 from repro.core.xcover import build_xcover
 from repro.errors import FaultModelError, OscillationError
+from repro.sim.cache import sim_context
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.sim.threeval import simulate3
@@ -91,7 +92,7 @@ def test_envelope_completeness(netlist, seed, k, defect_seed):
         return  # tiny circuit / unlucky cocktail: nothing to check
     if result.datalog.is_passing_device:
         return
-    xc = build_xcover(netlist, patterns, result.datalog)
+    xc = build_xcover(sim_context(netlist, patterns), result.datalog)
     truth = set()
     for d in defects:
         truth.update(d.ground_truth_sites())
@@ -117,7 +118,8 @@ def test_pertest_truth_explains_all(netlist, seed, k, defect_seed):
     if result.datalog.is_passing_device:
         return
     envelope = candidate_sites(netlist, result.datalog)
-    analysis = build_pertest(netlist, patterns, result.datalog, envelope)
+    ctx = sim_context(netlist, patterns)
+    analysis = build_pertest(ctx, result.datalog, envelope)
     truth = set()
     for d in defects:
         truth.update(d.ground_truth_sites())

@@ -14,7 +14,7 @@ from repro.faults.models import (
 )
 from repro.circuit.generators import ripple_carry_adder
 from repro.circuit.library import load_circuit
-from repro.sim.logicsim import simulate
+from repro.sim.cache import sim_context
 from repro.sim.patterns import PatternSet
 from repro.tester.harness import apply_test
 
@@ -32,12 +32,10 @@ def pats(rca6):
 def _hypotheses(netlist, patterns, defects, site, config=None):
     result = apply_test(netlist, patterns, defects)
     assert result.device_fails
-    base = simulate(netlist, patterns)
+    ctx = sim_context(netlist, patterns)
     envelope = candidate_sites(netlist, result.datalog)
-    pt = build_pertest(netlist, patterns, result.datalog, envelope)
-    return allocate_hypotheses(
-        netlist, patterns, result.datalog, site, base, pt, config
-    )
+    pt = build_pertest(ctx, result.datalog, envelope)
+    return allocate_hypotheses(ctx, result.datalog, site, pt, config)
 
 
 class TestStuckAllocation:
@@ -68,10 +66,10 @@ class TestStuckAllocation:
         result = apply_test(rca6, pats, [OpenDefect(branch, 1)])
         if result.datalog.is_passing_device:
             pytest.skip("invisible branch open")
-        base = simulate(rca6, pats)
+        ctx = sim_context(rca6, pats)
         envelope = candidate_sites(rca6, result.datalog)
-        pt = build_pertest(rca6, pats, result.datalog, envelope)
-        hyps = allocate_hypotheses(rca6, pats, result.datalog, branch, base, pt)
+        pt = build_pertest(ctx, result.datalog, envelope)
+        hyps = allocate_hypotheses(ctx, result.datalog, branch, pt)
         concrete = [h.kind for h in hyps if h.kind != "arbitrary"]
         assert any(k.startswith("open") for k in concrete)
 
@@ -107,10 +105,10 @@ class TestTransitionAllocation:
         result = apply_test(rca6, pats, [defect])
         if result.datalog.is_passing_device:
             pytest.skip("no launch/capture edge in this pattern set")
-        base = simulate(rca6, pats)
+        ctx = sim_context(rca6, pats)
         envelope = candidate_sites(rca6, result.datalog)
-        pt = build_pertest(rca6, pats, result.datalog, envelope)
-        hyps = allocate_hypotheses(rca6, pats, result.datalog, site, base, pt)
+        pt = build_pertest(ctx, result.datalog, envelope)
+        hyps = allocate_hypotheses(ctx, result.datalog, site, pt)
         assert hyps[0].kind in ("str", "arbitrary")
         if hyps[0].kind == "str":
             assert hyps[0].misses == 0
@@ -172,15 +170,12 @@ class TestAggressorPool:
         if not result.device_fails:
             result = apply_test(netlist, patterns, [StuckAtDefect(stem, 1)])
         assert result.device_fails
-        base = simulate(netlist, patterns)
+        ctx = sim_context(netlist, patterns)
         evidence = build_pertest(
-            netlist,
-            patterns,
-            result.datalog,
-            candidate_sites(netlist, result.datalog),
+            ctx, result.datalog, candidate_sites(netlist, result.datalog)
         )
         for config in (RefineConfig(), RefineConfig(bridge_level_distance=0)):
             for site in netlist.sites(include_branches=False):
                 assert _aggressor_pool(
-                    netlist, patterns, site, base, evidence, config
-                ) == self._full_scan(netlist, site, base, evidence, config), site
+                    ctx, site, evidence, config
+                ) == self._full_scan(netlist, site, ctx.base, evidence, config), site

@@ -20,7 +20,6 @@ from repro.faults.injection import FaultyCircuit
 from repro.faults.models import StuckAtDefect
 from repro.sim.cache import reset_sim_caches, sim_context
 from repro.sim.faultsim import defect_output_diff
-from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.tester.harness import apply_test
 
@@ -104,9 +103,8 @@ class TestSimulationBacked:
         pats = PatternSet.random(rca4, 32, seed=3)
         fault = StuckAtDefect(Site("a1"), 0)
         datalog = apply_test(rca4, pats, [fault]).datalog
-        base = simulate(rca4, pats)
         counter = MatchCounter.of_datalog(datalog)
-        diff = defect_output_diff(rca4, pats, fault, base)
+        diff = defect_output_diff(sim_context(rca4, pats), fault)
         assert datalog.n_fail_atoms > 0
         assert counter.counts(diff) == (datalog.n_fail_atoms, 0, 0)
         assert counter.iou(diff) == 1.0
@@ -115,16 +113,14 @@ class TestSimulationBacked:
         pats = PatternSet.random(rca4, 32, seed=3)
         defects = [StuckAtDefect(Site("a1"), 0), StuckAtDefect(Site("b3"), 1)]
         result = apply_test(rca4, pats, defects)
-        base = simulate(rca4, pats)
         observed = frozenset(result.datalog.fail_atoms())
         counter = MatchCounter(observed, result.datalog.failing_indices)
-        assert multiplet_iou(rca4, pats, defects, counter, base) == 1.0
+        assert multiplet_iou(sim_context(rca4, pats), defects, counter) == 1.0
 
     def test_multiplet_iou_empty_defect_list(self, rca4):
         pats = PatternSet.random(rca4, 8, seed=3)
-        base = simulate(rca4, pats)
         counter = MatchCounter(frozenset(), ())
-        assert multiplet_iou(rca4, pats, [], counter, base) is None
+        assert multiplet_iou(sim_context(rca4, pats), [], counter) is None
 
 
 def test_one_defect_multiplet_matches_the_fixpoint():
@@ -134,7 +130,8 @@ def test_one_defect_multiplet_matches_the_fixpoint():
     netlist = load_circuit("alu16")
     patterns = PatternSet.random(netlist, 48, seed=5)
     reset_sim_caches()
-    base = sim_context(netlist, patterns).base
+    ctx = sim_context(netlist, patterns)
+    base = ctx.base
     mask = patterns.mask
     truth = StuckAtDefect(Site(netlist.topo_order[60]), 1)
     datalog = apply_test(netlist, patterns, [truth]).datalog
@@ -162,16 +159,16 @@ def test_one_defect_multiplet_matches_the_fixpoint():
         try:
             faulty = FaultyCircuit(netlist, [defect]).simulate_outputs(patterns)
         except OscillationError:
-            assert multiplet_diff(netlist, patterns, [defect], base) is None
-            assert multiplet_iou(netlist, patterns, [defect], counter, base) is None
+            assert multiplet_diff(ctx, [defect]) is None
+            assert multiplet_iou(ctx, [defect], counter) is None
             continue
         want = {
             out: (faulty[out] ^ base[out]) & mask
             for out in netlist.outputs
             if (faulty[out] ^ base[out]) & mask
         }
-        assert multiplet_diff(netlist, patterns, [defect], base) == want, str(defect)
-        assert multiplet_iou(netlist, patterns, [defect], counter, base) == atoms_iou(
+        assert multiplet_diff(ctx, [defect]) == want, str(defect)
+        assert multiplet_iou(ctx, [defect], counter) == atoms_iou(
             diff_to_atoms(want), datalog.fail_atoms()
         ), str(defect)
         kinds.add(hypothesis.kind)
