@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro._rng import make_rng, spawn
 from repro.atpg.random_gen import generate_stuck_at_tests
@@ -25,12 +25,11 @@ from repro.campaign.samplers import DEFAULT_MIX, DefectMix, sample_defect_set
 from repro.circuit.library import load_circuit
 from repro.circuit.netlist import Netlist
 from repro.core.budget import Budget
-from repro.core.diagnose import DiagnosisConfig, Diagnoser
-from repro.core.single_fault import diagnose_single_fault
-from repro.core.slat import diagnose_slat
-from repro.errors import FaultModelError, OscillationError, ReproError, TrialError
+from repro.core.diagnose import DiagnosisConfig, run_method
+from repro.errors import FaultModelError, OscillationError, TrialError
 from repro.obs.metrics import record_ingest, record_skip_reasons
 from repro.obs.trace import (
+    NULL_TRACER,
     STAGES,
     Tracer,
     install_tracer,
@@ -38,53 +37,11 @@ from repro.obs.trace import (
     stage_seconds,
     uninstall_tracer,
 )
-from repro.sim.cache import sim_context
 from repro.sim.patterns import PatternSet
 from repro.tester.harness import apply_test
 
 if TYPE_CHECKING:
     from repro.campaign.runner import RunnerConfig
-
-#: Keyed by (circuit name, pattern-content fingerprint): two different
-#: pattern sets of equal length hash differently, so they never collide the
-#: way the old ``(name, n)`` key could.  Module-level caches are per
-#: process by construction, which makes them safe under the multi-process
-#: runner -- each worker warms its own copy (fork inherits the parent's).
-_dictionary_cache: dict[tuple[str, str], object] = {}
-
-
-def dictionary_for(netlist: Netlist, patterns: PatternSet):
-    """Build-once fault dictionary for a (circuit, test set) pair.
-
-    The cache mirrors reality: the dictionary is built once per test set
-    and amortized over every diagnosed device; its build cost is reported
-    in the diagnosis stats.
-    """
-    from repro.core.dictionary import build_dictionary
-
-    key = (netlist.name, patterns.fingerprint())
-    dictionary = _dictionary_cache.get(key)
-    if dictionary is None:
-        dictionary = build_dictionary(netlist, patterns)
-        _dictionary_cache[key] = dictionary
-    return dictionary
-
-
-def _run_dictionary(netlist: Netlist, patterns: PatternSet, datalog):
-    from repro.core.dictionary import diagnose_dictionary
-
-    return diagnose_dictionary(dictionary_for(netlist, patterns), datalog)
-
-
-#: Registry of diagnosis methods runnable by the campaign driver.
-METHODS: dict[str, Callable] = {
-    "xcover": lambda netlist, patterns, datalog: Diagnoser(netlist).diagnose(
-        patterns, datalog
-    ),
-    "slat": diagnose_slat,
-    "single": diagnose_single_fault,
-    "dictionary": _run_dictionary,
-}
 
 #: Keyed by (netlist content fingerprint, seed, min_patterns): the
 #: provisioned content is a pure function of the netlist's structure and
@@ -298,37 +255,25 @@ class Campaign:
         """
         if tracer is not None:
             install_tracer(tracer)
-            try:
-                return self._run_trial_traced(
-                    trial_seed,
-                    k,
-                    mix,
-                    methods,
-                    interacting,
-                    diagnosis_config,
-                    max_resample,
-                    oscillation_fallback,
-                    deadline_seconds,
-                    noise,
-                    tracer,
-                )
-            finally:
+        try:
+            return self._run_trial(
+                trial_seed,
+                k,
+                mix,
+                methods,
+                interacting,
+                diagnosis_config,
+                max_resample,
+                oscillation_fallback,
+                deadline_seconds,
+                noise,
+                tracer,
+            )
+        finally:
+            if tracer is not None:
                 uninstall_tracer(tracer)
-        return self._run_trial_traced(
-            trial_seed,
-            k,
-            mix,
-            methods,
-            interacting,
-            diagnosis_config,
-            max_resample,
-            oscillation_fallback,
-            deadline_seconds,
-            noise,
-            None,
-        )
 
-    def _run_trial_traced(
+    def _run_trial(
         self,
         trial_seed: int,
         k: int,
@@ -390,28 +335,21 @@ class Campaign:
             record_ingest(result.ingest)
         outcomes: list[TrialOutcome] = []
         for method in methods:
-            budget = self._method_budget(diagnosis_config, trial_deadline)
-            runner = self._resolve(method, diagnosis_config, budget, tracer)
-            method_span = None
-            if tracer is not None:
-                with tracer.span(f"method:{method}", method=method) as method_span:
-                    report = runner(self.netlist, self.patterns, result.datalog)
-                    if noise_model is not None:
-                        from repro.core.oracle import validate_report
-
-                        report = validate_report(
-                            sim_context(self.netlist, self.patterns), report, result.raw
-                        )
-            else:
-                report = runner(self.netlist, self.patterns, result.datalog)
-                if noise_model is not None:
-                    # Post-hoc oracle pass, uniform over every method: judge
-                    # the report against the raw (pre-sanitized) evidence.
-                    from repro.core.oracle import validate_report
-
-                    report = validate_report(
-                        sim_context(self.netlist, self.patterns), report, result.raw
-                    )
+            # A no-op span when untraced.  Under noise the oracle judges
+            # every method's report against the raw (pre-sanitized) log.
+            with (tracer or NULL_TRACER).span(
+                f"method:{method}", method=method
+            ) as method_span:
+                report = run_method(
+                    method,
+                    self.netlist,
+                    self.patterns,
+                    result.datalog,
+                    config=diagnosis_config,
+                    budget=self._method_budget(diagnosis_config, trial_deadline),
+                    raw=result.raw,
+                    tracer=tracer,
+                )
             outcome = score_report(
                 self.netlist,
                 report,
@@ -472,49 +410,12 @@ class Campaign:
         and the *smaller* of the config deadline and the time left on the
         trial clock.
         """
-        deadline = (
-            diagnosis_config.deadline_seconds
-            if diagnosis_config is not None
-            else None
-        )
+        config = diagnosis_config or DiagnosisConfig()
+        deadline = config.deadline_seconds
         if trial_deadline is not None:
             remaining = max(0.0, trial_deadline - time.monotonic())
             deadline = remaining if deadline is None else min(deadline, remaining)
-        max_multiplets = (
-            diagnosis_config.max_multiplets if diagnosis_config is not None else None
-        )
-        max_expansions = (
-            diagnosis_config.max_expansions if diagnosis_config is not None else None
-        )
-        if deadline is None and max_multiplets is None and max_expansions is None:
-            return None
-        return Budget(
-            deadline_seconds=deadline,
-            max_multiplets=max_multiplets,
-            max_expansions=max_expansions,
-        )
-
-    @staticmethod
-    def _resolve(
-        method: str,
-        diagnosis_config: DiagnosisConfig | None,
-        budget: Budget | None = None,
-        tracer: Tracer | None = None,
-    ) -> Callable:
-        if method == "xcover" and (
-            diagnosis_config is not None
-            or budget is not None
-            or tracer is not None
-        ):
-            return lambda netlist, patterns, datalog: Diagnoser(
-                netlist, diagnosis_config
-            ).diagnose(patterns, datalog, budget=budget, tracer=tracer)
-        try:
-            return METHODS[method]
-        except KeyError:
-            raise ReproError(
-                f"unknown diagnosis method {method!r}; known: {sorted(METHODS)}"
-            ) from None
+        return Budget.of(deadline, config.max_multiplets, config.max_expansions)
 
 
 def run_campaign(

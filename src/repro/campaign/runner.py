@@ -538,7 +538,7 @@ def execute_campaign(
                 if "dictionary" in config.methods:
                     # Warm the parent's dictionary cache so forked workers
                     # inherit the build instead of repeating it per trial.
-                    from repro.campaign.driver import dictionary_for
+                    from repro.core.dictionary import dictionary_for
 
                     dictionary_for(campaign.netlist, campaign.patterns)
                 _run_isolated(campaign, config, rc, pending, emit)

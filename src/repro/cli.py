@@ -34,10 +34,14 @@ from repro.campaign.tables import format_table
 from repro.circuit.bench import parse_bench_file
 from repro.circuit.library import circuit_names, load_circuit
 from repro.circuit.netlist import Netlist
-from repro.core.diagnose import COVER_ENGINES, DiagnosisConfig, Diagnoser
-from repro.core.single_fault import diagnose_single_fault
-from repro.core.slat import diagnose_slat
+from repro.core.diagnose import (
+    COVER_ENGINES,
+    PER_DIE_METHODS,
+    DiagnosisConfig,
+    run_method,
+)
 from repro.errors import DatalogError, ReproError
+from repro.obs.trace import NULL_TRACER, Tracer, to_chrome_trace
 from repro.tester.datalog import Datalog
 from repro.tester.harness import apply_test
 
@@ -170,41 +174,18 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         datalog.validate_for(netlist, n_patterns=patterns.n)
     except DatalogError as exc:
         raise DatalogError(f"{path}: {exc}") from exc
-    oracle_raw = (raw if raw is not None else datalog) if args.validate else None
-    tracer = None
-    if args.trace:
-        from repro.obs.trace import Tracer, install_tracer
-
-        tracer = Tracer()
-        # Installed for the whole command so baseline methods and the
-        # oracle pass emit into the same tree as the xcover pipeline.
-        install_tracer(tracer)
-    try:
-        if args.method == "xcover":
-            config = _budget_config(args)
-            report = Diagnoser(netlist, config).diagnose(
-                patterns, datalog, raw=oracle_raw, tracer=tracer
-            )
-        elif args.method == "slat":
-            from repro.obs.trace import trace_span
-
-            with trace_span(f"method:{args.method}", method=args.method):
-                report = diagnose_slat(netlist, patterns, datalog)
-        else:
-            from repro.obs.trace import trace_span
-
-            with trace_span(f"method:{args.method}", method=args.method):
-                report = diagnose_single_fault(netlist, patterns, datalog)
-        if oracle_raw is not None and report.consistency is None:
-            from repro.core.oracle import validate_report
-            from repro.sim.cache import sim_context
-
-            report = validate_report(sim_context(netlist, patterns), report, oracle_raw)
-    finally:
-        if tracer is not None:
-            from repro.obs.trace import uninstall_tracer
-
-            uninstall_tracer(tracer)
+    tracer = Tracer() if args.trace else None
+    # The method span holds the whole run, as in a traced campaign trial.
+    with (tracer or NULL_TRACER).span(f"method:{args.method}", method=args.method):
+        report = run_method(
+            args.method,
+            netlist,
+            patterns,
+            datalog,
+            config=_budget_config(args),
+            raw=(raw if raw is not None else datalog) if args.validate else None,
+            tracer=tracer,
+        )
     print(report.summary())
     if not report.is_exact:
         print(
@@ -216,8 +197,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         Path(args.json).write_text(report.to_json())
         print(f"(full report written to {args.json})", file=sys.stderr)
     if tracer is not None:
-        from repro.obs.trace import to_chrome_trace
-
         Path(args.trace_out).write_text(
             json.dumps(to_chrome_trace([(0, tracer.to_dicts())]))
         )
@@ -304,8 +283,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
         Path(args.json).write_text(result_to_json(result))
     if args.trace:
-        from repro.obs.trace import to_chrome_trace
-
         payload = to_chrome_trace(
             (entry["trial"], entry["spans"]) for entry in result.traces
         )
@@ -630,9 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="diagnose a datalog")
     p.add_argument("circuit")
     p.add_argument("datalog")
-    p.add_argument(
-        "--method", choices=("xcover", "slat", "single"), default="xcover"
-    )
+    p.add_argument("--method", choices=PER_DIE_METHODS, default="xcover")
     p.add_argument("--pattern-seed", type=int, default=7)
     p.add_argument("--json", help="also write the full report as JSON")
     p.add_argument(

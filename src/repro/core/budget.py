@@ -153,6 +153,24 @@ class Budget:
         if deadline_seconds is not None:
             self.start()
 
+    @classmethod
+    def of(
+        cls,
+        deadline_seconds: float | None,
+        max_multiplets: int | None,
+        max_expansions: int | None,
+        token: CancellationToken | None = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> "Budget | None":
+        """A fresh budget over these limits, or ``None`` when ungoverned:
+        no limit is set and no ``token`` needs a budget to cancel through."""
+        if all(
+            value is None
+            for value in (deadline_seconds, max_multiplets, max_expansions, token)
+        ):
+            return None
+        return cls(deadline_seconds, max_multiplets, max_expansions, token, clock)
+
     def start(self) -> None:
         """(Re-)arm the wall-clock deadline relative to now."""
         if self.deadline_seconds is not None:
@@ -287,20 +305,7 @@ class QosClass:
             )
             if multiplets is not None:
                 multiplets = max(1, int(multiplets * self.degraded_scale))
-        if (
-            deadline is None
-            and expansions is None
-            and multiplets is None
-            and token is None
-        ):
-            return None
-        return Budget(
-            deadline_seconds=deadline,
-            max_multiplets=multiplets,
-            max_expansions=expansions,
-            token=token,
-            clock=clock,
-        )
+        return Budget.of(deadline, multiplets, expansions, token, clock)
 
 
 #: The daemon's built-in request classes.  ``interactive`` trades

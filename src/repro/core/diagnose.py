@@ -21,6 +21,10 @@ classical fault model.  The X-injection envelope
 criterion -- is available as an alternative engine
 (``DiagnosisConfig(engine="xcover")``) and is what ablation A compares
 against.
+
+:func:`run_method` runs any registered method (:data:`METHODS`: this
+pipeline and the baselines) on one die, then the validation oracle when
+asked; the CLI, the service and campaigns all diagnose through it.
 """
 
 from __future__ import annotations
@@ -37,14 +41,17 @@ from repro.core.cover import (
     greedy_cover,
     greedy_pertest_cover,
 )
+from repro.core.dictionary import diagnose_dictionary, dictionary_for
 from repro.core.hitting import hitting_set_cover
 from repro.core.oracle import concrete_defects, validate_report
 from repro.core.pertest import PerTestAnalysis, build_pertest
 from repro.core.refine import RefineConfig, allocate_hypotheses, arbitrary_hypothesis
 from repro.core.report import Candidate, DiagnosisReport, Hypothesis, Multiplet
 from repro.core.scoring import MatchCounter, multiplet_iou
+from repro.core.single_fault import diagnose_single_fault
+from repro.core.slat import diagnose_slat
 from repro.core.xcover import build_xcover
-from repro.errors import DiagnosisError
+from repro.errors import DiagnosisError, ReproError
 from repro.obs.metrics import record_diagnosis, record_sim_delta, record_truncations
 from repro.obs.trace import NULL_TRACER, Tracer, install_tracer, uninstall_tracer
 from repro.sim.cache import SimContext, sim_context
@@ -102,25 +109,6 @@ class DiagnosisConfig:
     deadline_seconds: float | None = None
     max_multiplets: int | None = None
     max_expansions: int | None = None
-    #: Run the post-diagnosis validation oracle (:mod:`repro.core.oracle`)
-    #: even when no raw log is supplied -- the sanitized datalog then
-    #: stands in as the evidence.  Off by default: an unvalidated report
-    #: serializes byte-identically to the historical format.
-    validate: bool = False
-
-    def make_budget(self) -> Budget | None:
-        """A fresh :class:`Budget` for one run, or None when ungoverned."""
-        if (
-            self.deadline_seconds is None
-            and self.max_multiplets is None
-            and self.max_expansions is None
-        ):
-            return None
-        return Budget(
-            deadline_seconds=self.deadline_seconds,
-            max_multiplets=self.max_multiplets,
-            max_expansions=self.max_expansions,
-        )
 
 
 class Diagnoser:
@@ -146,7 +134,6 @@ class Diagnoser:
         patterns: PatternSet,
         datalog: Datalog,
         budget: Budget | None = None,
-        raw=None,
         tracer: Tracer | None = None,
     ) -> DiagnosisReport:
         """Run the full pipeline against one device's datalog.
@@ -157,12 +144,6 @@ class Diagnoser:
         ungoverned and the report is identical to the historical output.
         On exhaustion the report carries whatever every stage produced so
         far, ``completeness != "exact"``, and the truncation trail.
-
-        ``raw`` (a :class:`~repro.tester.noise.RawLog`) switches on the
-        post-diagnosis validation oracle against that pre-sanitized
-        evidence; ``DiagnosisConfig(validate=True)`` switches it on
-        against ``datalog`` itself.  With neither, the report is the
-        historical, oracle-free output.
 
         ``tracer`` (a :class:`~repro.obs.trace.Tracer`) switches on stage
         tracing: the run's span tree lands in ``report.stats["trace"]``
@@ -179,7 +160,9 @@ class Diagnoser:
                 f"test set has {patterns.n}"
             )
         if budget is None:
-            budget = cfg.make_budget()
+            budget = Budget.of(
+                cfg.deadline_seconds, cfg.max_multiplets, cfg.max_expansions
+            )
         tracing = tracer is not None
         # Stage timing always runs through a tracer clock (injectable for
         # tests); an untraced run uses a private throwaway tracer that is
@@ -188,7 +171,7 @@ class Diagnoser:
         if tracing:
             install_tracer(t)
         try:
-            report = self._diagnose(patterns, datalog, budget, raw, t)
+            report = self._diagnose(patterns, datalog, budget, t)
         finally:
             if tracing:
                 uninstall_tracer(t)
@@ -203,7 +186,6 @@ class Diagnoser:
         patterns: PatternSet,
         datalog: Datalog,
         budget: Budget | None,
-        raw,
         t: Tracer,
     ) -> DiagnosisReport:
         cfg = self.config
@@ -213,12 +195,6 @@ class Diagnoser:
                 circuit=self.netlist.name,
                 stats={"seconds": 0.0, "n_failing_patterns": 0},
             )
-            if raw is not None or cfg.validate:
-                report = validate_report(
-                    sim_context(self.netlist, patterns),
-                    report,
-                    raw if raw is not None else datalog,
-                )
             record_diagnosis(METHOD_NAME, 0.0, report.completeness)
             return report
 
@@ -232,14 +208,9 @@ class Diagnoser:
             with t.span("context"):
                 ctx = sim_context(self.netlist, patterns)
             with t.span("backtrace") as sp_backtrace:
-                if cfg.engine == "pertest":
-                    envelope = candidate_sites(
-                        self.netlist, datalog, cfg.include_branches, budget=budget
-                    )
-                else:
-                    envelope = candidate_sites(
-                        self.netlist, datalog, cfg.include_branches
-                    )
+                envelope = candidate_sites(
+                    self.netlist, datalog, cfg.include_branches, budget=budget
+                )
             started = root.start
             t_sim = sp_backtrace.end
 
@@ -254,7 +225,7 @@ class Diagnoser:
                 ) = self._run_pertest(ctx, datalog, envelope, budget, t)
             else:
                 evidence, multiplet_sets, uncovered, stage_stats = self._run_xcover(
-                    ctx, datalog, budget, t
+                    ctx, datalog, envelope, budget, t
                 )
                 extras = ()
                 optimality = None
@@ -422,12 +393,6 @@ class Diagnoser:
                 truncations=tuple(budget.truncations) if budget is not None else (),
                 optimality=optimality,
             )
-            if raw is not None or cfg.validate:
-                # The oracle emits its own "oracle" span through the active
-                # tracer, nesting under this root on traced runs.
-                report = validate_report(
-                    ctx, report, raw if raw is not None else datalog
-                )
         record_sim_delta(counters)
         if budget is not None:
             record_truncations(budget.truncations)
@@ -526,12 +491,10 @@ class Diagnoser:
         }
         return analysis, multiplet_sets, uncovered, tuple(extras), stats, optimality
 
-    def _run_xcover(self, ctx, datalog, budget=None, tracer=NULL_TRACER):
+    def _run_xcover(self, ctx, datalog, envelope, budget=None, tracer=NULL_TRACER):
         cfg = self.config
         with tracer.span("xcover"):
-            xc = build_xcover(
-                ctx, datalog, include_branches=cfg.include_branches, budget=budget
-            )
+            xc = build_xcover(ctx, datalog, envelope, budget=budget)
         with tracer.span("cover"):
             solution = greedy_cover(
                 xc,
@@ -603,3 +566,85 @@ def diagnose(
 ) -> DiagnosisReport:
     """One-shot convenience wrapper around :class:`Diagnoser`."""
     return Diagnoser(netlist, config).diagnose(patterns, datalog)
+
+
+# -- the method registry -------------------------------------------------------
+
+
+def _run_proposed(netlist, patterns, datalog, config, budget, tracer):
+    return Diagnoser(netlist, config).diagnose(
+        patterns, datalog, budget=budget, tracer=tracer
+    )
+
+
+def _baseline(diagnose_die):
+    """A baseline's registry entry: baselines take no config and run
+    ungoverned, and they trace through the active tracer only."""
+
+    def run(netlist, patterns, datalog, config, budget, tracer):
+        return diagnose_die(netlist, patterns, datalog)
+
+    return run
+
+
+def _diagnose_by_dictionary(netlist, patterns, datalog):
+    return diagnose_dictionary(dictionary_for(netlist, patterns), datalog)
+
+
+#: Every diagnosis method, by name: each entry runs one die as
+#: ``runner(netlist, patterns, datalog, config, budget, tracer)``.
+METHODS = {
+    METHOD_NAME: _run_proposed,
+    "slat": _baseline(diagnose_slat),
+    "single": _baseline(diagnose_single_fault),
+    "dictionary": _baseline(_diagnose_by_dictionary),
+}
+
+#: The methods the CLI and the service run: the registry without the
+#: dictionary, whose build-once table pays off only across a campaign's
+#: dies.
+PER_DIE_METHODS = tuple(name for name in METHODS if name != "dictionary")
+
+
+def run_method(
+    method: str,
+    netlist: Netlist,
+    patterns: PatternSet,
+    datalog: Datalog,
+    *,
+    config: DiagnosisConfig | None = None,
+    budget: Budget | None = None,
+    raw=None,
+    tracer: Tracer | None = None,
+) -> DiagnosisReport:
+    """Diagnose one die with the registered method ``method``.
+
+    The one way a die is diagnosed: the CLI, the service and campaigns
+    all call it.  ``config`` and ``budget`` reach the proposed method's
+    :meth:`Diagnoser.diagnose`; baselines run ungoverned and ignore them.
+    ``raw`` switches on the post-diagnosis validation oracle
+    (:func:`~repro.core.oracle.validate_report`) against that evidence:
+    the :class:`~repro.tester.noise.RawLog` the tester emitted, or the
+    datalog itself.  Without it the report is oracle-free.
+
+    ``tracer`` is installed for the whole run, so a baseline's events and
+    the ``oracle`` span land in it beside the pipeline's ``diagnose``
+    span; the proposed method's report also carries its tree in
+    ``stats["trace"]``.
+    """
+    try:
+        runner = METHODS[method]
+    except KeyError:
+        raise ReproError(
+            f"unknown diagnosis method {method!r}; known: {sorted(METHODS)}"
+        ) from None
+    if tracer is not None:
+        install_tracer(tracer)
+    try:
+        report = runner(netlist, patterns, datalog, config, budget, tracer)
+        if raw is not None:
+            report = validate_report(sim_context(netlist, patterns), report, raw)
+    finally:
+        if tracer is not None:
+            uninstall_tracer(tracer)
+    return report

@@ -81,6 +81,30 @@ def build_dictionary(
     )
 
 
+#: Keyed by (circuit name, pattern-content fingerprint): two different
+#: pattern sets of equal length hash differently, so they never collide the
+#: way the old ``(name, n)`` key could.  Module-level caches are per
+#: process by construction, which makes them safe under the multi-process
+#: campaign runner -- each worker warms its own copy (fork inherits the
+#: parent's).
+_dictionary_cache: dict[tuple[str, str], FaultDictionary] = {}
+
+
+def dictionary_for(netlist: Netlist, patterns: PatternSet) -> FaultDictionary:
+    """Build-once fault dictionary for a (circuit, test set) pair.
+
+    The cache mirrors reality: the dictionary is built once per test set
+    and amortized over every diagnosed device; its build cost is reported
+    in the diagnosis stats.
+    """
+    key = (netlist.name, patterns.fingerprint())
+    dictionary = _dictionary_cache.get(key)
+    if dictionary is None:
+        dictionary = build_dictionary(netlist, patterns)
+        _dictionary_cache[key] = dictionary
+    return dictionary
+
+
 def diagnose_dictionary(
     dictionary: FaultDictionary,
     datalog: Datalog,

@@ -25,7 +25,6 @@ from typing import Iterable
 
 from repro.circuit.gates import tv_all_x, tv_xmask
 from repro.circuit.netlist import Netlist, Site
-from repro.core.backtrace import candidate_sites
 from repro.core.budget import Budget
 from repro.errors import DiagnosisError
 from repro.sim.cache import SimContext
@@ -38,13 +37,12 @@ Atom = tuple[int, str]  # (pattern index, output net)
 
 @dataclass
 class XCoverAnalysis:
-    """Per-site and joint X reach against one datalog."""
+    """Per-site coverable fail atoms and joint X reach against one datalog."""
 
     netlist: Netlist
     patterns: PatternSet
     datalog: Datalog
     sites: tuple[Site, ...]
-    reach: dict[Site, dict[str, int]]
     atoms: frozenset[Atom]
     site_atoms: dict[Site, frozenset[Atom]] = field(default_factory=dict)
 
@@ -99,12 +97,14 @@ class XCoverAnalysis:
 def build_xcover(
     ctx: SimContext,
     datalog: Datalog,
-    include_branches: bool = True,
+    envelope: int,
     budget: Budget | None = None,
 ) -> XCoverAnalysis:
-    """Run the per-site X analysis over the structural candidate envelope,
-    reading each site's X reach from ``ctx``, the context of the netlist
-    and test set the datalog came from.
+    """Run the per-site X analysis over ``envelope``, the structural
+    candidate envelope from :func:`~repro.core.backtrace.candidate_sites`
+    (a bitset over the netlist's site ids), reading each site's X reach
+    from ``ctx``, the context of the netlist and test set the datalog came
+    from.
 
     Under a ``budget`` the per-site X-reach sweep is checked per site
     (each charged as one expansion); on exhaustion the analysis covers
@@ -115,12 +115,9 @@ def build_xcover(
         raise DiagnosisError(
             f"datalog covers {datalog.n_patterns} patterns, test set has {patterns.n}"
         )
-    sites = netlist.sites_of(
-        candidate_sites(netlist, datalog, include_branches, budget=budget)
-    )
+    sites = netlist.sites_of(envelope)
     atoms = frozenset(datalog.fail_atoms())
 
-    reach: dict[Site, dict[str, int]] = {}
     site_atoms: dict[Site, frozenset[Atom]] = {}
     for done, site in enumerate(sites):
         if (
@@ -135,7 +132,6 @@ def build_xcover(
             # truncation points stay deterministic across cache states.
             budget.charge()
         r = ctx.x_reach(site)
-        reach[site] = r
         covered = {
             (idx, out) for idx, out in atoms if r.get(out, 0) >> idx & 1
         }
@@ -146,7 +142,6 @@ def build_xcover(
         patterns=patterns,
         datalog=datalog,
         sites=tuple(sites),
-        reach=reach,
         atoms=atoms,
         site_atoms=site_atoms,
     )

@@ -193,7 +193,7 @@ class DiagnosisDaemon(ExecutorCallbacks):
         for job in recovered:
             self._enqueue(job)
         self._started = True
-        self._update_gauges()
+        self.update_gauges()
         return len(recovered)
 
     def drain(self) -> bool:
@@ -244,7 +244,7 @@ class DiagnosisDaemon(ExecutorCallbacks):
         self.executor.submit(
             job.job_id, job.spec, token, degraded=job.degraded
         )
-        self._update_gauges()
+        self.update_gauges()
 
     def submit(self, spec: JobSpec) -> Response:
         with self._lock:
@@ -311,7 +311,7 @@ class DiagnosisDaemon(ExecutorCallbacks):
             self._finish(job_id)
             self.store.mark_cancelled(job_id)
             record_job_transition("cancelled")
-            self._update_gauges()
+            self.update_gauges()
             return Response.json(202, self.store.get(job_id).status_dict())
         return Response.json(202, {"id": job_id, "state": "cancelling"})
 
@@ -336,21 +336,21 @@ class DiagnosisDaemon(ExecutorCallbacks):
             self._running[job_id] = self._clock()
         self.store.mark_running(job_id, attempt)
         record_job_transition(STATE_RUNNING)
-        self._update_gauges()
+        self.update_gauges()
 
     def on_done(self, job_id: str, report) -> None:
         self._finish(job_id)
         self.store.mark_done(job_id, canonical_report_dict(report))
         record_job_transition("done")
         self.store.maybe_compact()
-        self._update_gauges()
+        self.update_gauges()
 
     def on_failed(self, job_id: str, error: TrialError) -> None:
         self._finish(job_id)
         self.store.mark_failed(job_id, error.to_dict())
         record_job_transition("failed")
         self.store.maybe_compact()
-        self._update_gauges()
+        self.update_gauges()
 
     def on_requeued(self, job_id: str, cause: str) -> None:
         # The watchdog pulled the job off a dead/wedged worker; it is
@@ -360,7 +360,7 @@ class DiagnosisDaemon(ExecutorCallbacks):
         with self._lock:
             self._running.pop(job_id, None)
             self._queued.add(job_id)
-        self._update_gauges()
+        self.update_gauges()
 
     def on_cancelled(self, job_id: str) -> None:
         with self._lock:
@@ -371,12 +371,12 @@ class DiagnosisDaemon(ExecutorCallbacks):
             record_job_transition("cancelled")
         # else: a drain tripped the token -- leave the journal non-terminal
         # so the job recovers on the next start.
-        self._update_gauges()
+        self.update_gauges()
 
     def on_deferred(self, job_id: str) -> None:
         with self._lock:
             self._queued.discard(job_id)
-        self._update_gauges()
+        self.update_gauges()
 
     # -- health --------------------------------------------------------------
 
@@ -401,87 +401,97 @@ class DiagnosisDaemon(ExecutorCallbacks):
             )
         return (not reasons), reasons
 
-    def _update_gauges(self) -> None:
+    def update_gauges(self) -> None:
         with self._lock:
             set_queue_depth(len(self._queued), len(self._running))
+
+    def cluster_status(self) -> dict:
+        """The ``/cluster/status`` body: every role answers it, so
+        ``repro cluster status`` works against a worker or standalone
+        node too."""
+        with self._lock:
+            queued, running = len(self._queued), len(self._running)
+            draining = self._draining
+        return {
+            "role": self.config.role,
+            "counts": self.store.counts(),
+            "queued": queued,
+            "running": running,
+            "draining": draining,
+        }
 
     # -- the request surface (fake-transport harness + HTTP handler) ---------
 
     def handle(self, method: str, path: str, body: bytes | None = None) -> Response:
         """Dispatch one request; the HTTP layer is a thin wrapper over this."""
-        path = path.split("?", 1)[0].rstrip("/") or "/"
-        try:
-            if method == "GET" and path == "/healthz":
-                # An unrecovered store write error makes the *process*
-                # unhealthy, not merely unready: a daemon that cannot
-                # persist transitions is silently lying about durability,
-                # and a supervisor should restart it onto a healthy disk.
-                store_error = self.store.last_error
-                if store_error:
-                    return Response.json(
-                        503,
-                        {"status": "unhealthy", "last_store_error": store_error},
-                    )
-                return Response.json(200, {"status": "ok"})
-            if method == "GET" and path == "/readyz":
-                ready, reasons = self.readiness()
-                if ready:
-                    return Response.json(200, {"status": "ready"})
-                return Response.json(503, {"status": "unready", "reasons": reasons})
-            if method == "GET" and path == "/metrics":
-                self._update_gauges()
-                return Response.text(200, REGISTRY.to_prometheus_text())
-            if method == "GET" and path == "/cluster/status":
-                # Answered by every role so ``repro cluster status`` works
-                # against a worker or standalone node too.
-                with self._lock:
-                    queued, running = len(self._queued), len(self._running)
-                    draining = self._draining
+        return handle_request(self, method, path, body)
+
+
+def handle_request(node, method: str, path: str, body: bytes | None) -> Response:
+    """The job protocol's route table, one for every role.
+
+    ``node`` is a :class:`DiagnosisDaemon` or a cluster
+    :class:`~repro.serve.cluster.coordinator.Coordinator`; each supplies
+    its ``store``, ``readiness()``, ``cluster_status()``,
+    ``update_gauges()``, ``submit(spec)`` and ``cancel(job_id)``.
+    """
+    path = path.split("?", 1)[0].rstrip("/") or "/"
+    try:
+        if method == "GET" and path == "/healthz":
+            # An unrecovered store write error makes the *process*
+            # unhealthy, not merely unready: a node that cannot persist
+            # transitions is silently lying about durability, and a
+            # supervisor should restart it onto a healthy disk.
+            store_error = node.store.last_error
+            if store_error:
                 return Response.json(
-                    200,
-                    {
-                        "role": self.config.role,
-                        "counts": self.store.counts(),
-                        "queued": queued,
-                        "running": running,
-                        "draining": draining,
-                    },
+                    503,
+                    {"status": "unhealthy", "last_store_error": store_error},
                 )
-            if method == "POST" and path == "/jobs":
-                try:
-                    payload = json.loads((body or b"").decode() or "null")
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    return Response.json(400, {"error": f"bad JSON body: {exc}"})
-                return self.submit(JobSpec.from_dict(payload))
-            if method == "GET" and path == "/jobs":
-                return Response.json(
-                    200,
-                    {
-                        "jobs": [
-                            job.status_dict(include_report=False)
-                            for job in self.store.jobs()
-                        ],
-                        "counts": self.store.counts(),
-                    },
-                )
-            if path.startswith("/jobs/"):
-                job_id = path[len("/jobs/"):]
-                if method == "GET":
-                    job = self.store.get(job_id)
-                    if job is None:
-                        return Response.json(
-                            404, {"error": f"unknown job {job_id!r}"}
-                        )
-                    return Response.json(200, job.status_dict())
-                if method == "DELETE":
-                    return self.cancel(job_id)
-            return Response.json(404, {"error": f"no route {method} {path}"})
-        except ServeError as exc:
-            return Response.json(400, {"error": str(exc)})
-        except JournalError as exc:
-            # The store went bad mid-request (disk full, dir removed):
-            # surface as a 500 and let /readyz flip.
-            return Response.json(500, {"error": f"job store failure: {exc}"})
+            return Response.json(200, {"status": "ok"})
+        if method == "GET" and path == "/readyz":
+            ready, reasons = node.readiness()
+            if ready:
+                return Response.json(200, {"status": "ready"})
+            return Response.json(503, {"status": "unready", "reasons": reasons})
+        if method == "GET" and path == "/metrics":
+            node.update_gauges()
+            return Response.text(200, REGISTRY.to_prometheus_text())
+        if method == "GET" and path == "/cluster/status":
+            return Response.json(200, node.cluster_status())
+        if method == "POST" and path == "/jobs":
+            try:
+                payload = json.loads((body or b"").decode() or "null")
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                return Response.json(400, {"error": f"bad JSON body: {exc}"})
+            return node.submit(JobSpec.from_dict(payload))
+        if method == "GET" and path == "/jobs":
+            return Response.json(
+                200,
+                {
+                    "jobs": [
+                        job.status_dict(include_report=False)
+                        for job in node.store.jobs()
+                    ],
+                    "counts": node.store.counts(),
+                },
+            )
+        if path.startswith("/jobs/"):
+            job_id = path[len("/jobs/"):]
+            if method == "GET":
+                job = node.store.get(job_id)
+                if job is None:
+                    return Response.json(404, {"error": f"unknown job {job_id!r}"})
+                return Response.json(200, job.status_dict())
+            if method == "DELETE":
+                return node.cancel(job_id)
+        return Response.json(404, {"error": f"no route {method} {path}"})
+    except ServeError as exc:
+        return Response.json(400, {"error": str(exc)})
+    except JournalError as exc:
+        # The store went bad mid-request (disk full, dir removed):
+        # surface as a 500 and let /readyz flip.
+        return Response.json(500, {"error": f"job store failure: {exc}"})
 
 
 # -- HTTP wrapper ------------------------------------------------------------

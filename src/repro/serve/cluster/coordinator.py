@@ -4,8 +4,9 @@ Transport-free like the worker daemon: :meth:`Coordinator.handle` takes
 ``(method, path, body)`` and returns a
 :class:`~repro.serve.app.Response`, so every failover behavior is
 testable with a fake transport and a manual clock.  The HTTP surface is
-the *same* job protocol the standalone daemon serves -- a client does not
-know (or care) whether it is talking to one node or a fabric.
+the *same* job protocol the standalone daemon serves, answered by the
+same route table (:func:`~repro.serve.app.handle_request`) -- a client
+does not know (or care) whether it is talking to one node or a fabric.
 
 The control loop is two periodic passes, both drivable by hand in tests
 (set the intervals to 0 and call :meth:`heartbeat_pass` /
@@ -31,21 +32,19 @@ harmlessly: the worker answers 200 with the job it already has.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import chaos
 from repro.campaign.runner import backoff_delay
-from repro.errors import BindError, JournalError, ServeError, TrialError
+from repro.errors import BindError, ServeError, TrialError
 from repro.obs.metrics import (
-    REGISTRY,
     record_admission_rejected,
     record_dispatch_retry,
     record_drain,
@@ -60,6 +59,7 @@ from repro.serve.app import (
     EXIT_OK,
     Response,
     bind_server,
+    handle_request,
 )
 from repro.serve.cluster.client import NodeUnreachable, WorkerClient
 from repro.serve.cluster.lease import LeaseTable
@@ -226,7 +226,7 @@ class Coordinator:
                 )
         record_recovery(len(recovered))
         self._started = True
-        self._update_gauges()
+        self.update_gauges()
         if self.config.heartbeat_interval > 0:
             self._spawn_loop(
                 "repro-cluster-heartbeat",
@@ -342,7 +342,7 @@ class Coordinator:
             self._pending[job.job_id] = _Pending(
                 attempt=1, not_before=0.0, first_queued=self._clock()
             )
-        self._update_gauges()
+        self.update_gauges()
         return Response.json(202, job.status_dict())
 
     def cancel(self, job_id: str) -> Response:
@@ -365,7 +365,7 @@ class Coordinator:
             self._pending.pop(job_id, None)
         self.store.mark_cancelled(job_id)
         record_job_transition(STATE_CANCELLED)
-        self._update_gauges()
+        self.update_gauges()
         return Response.json(202, self.store.get(job_id).status_dict())
 
     # -- the control loops ---------------------------------------------------
@@ -382,14 +382,14 @@ class Coordinator:
                 self.membership.note_success(name)
             else:
                 self.membership.note_failure(name)
-        self._update_gauges()
+        self.update_gauges()
 
     def pump_pass(self) -> None:
         """One scheduling sweep: harvest/renew leases, then dispatch."""
         now = self._clock()
         self._poll_leases(now)
         self._dispatch_pending(self._clock())
-        self._update_gauges()
+        self.update_gauges()
 
     def route(self, shard_key: str, avoid: str | None = None) -> list[str]:
         """Routable nodes ranked for ``shard_key``; ``avoid`` (the lease's
@@ -624,7 +624,7 @@ class Coordinator:
             "draining": draining,
         }
 
-    def _update_gauges(self) -> None:
+    def update_gauges(self) -> None:
         alive, suspect, dead = self.membership.counts()
         set_cluster_nodes(alive, suspect, dead)
         with self._lock:
@@ -635,69 +635,8 @@ class Coordinator:
     def handle(
         self, method: str, path: str, body: bytes | None = None
     ) -> Response:
-        """Same route table the worker daemon serves (plus cluster status)."""
-        path = path.split("?", 1)[0].rstrip("/") or "/"
-        try:
-            if method == "GET" and path == "/healthz":
-                store_error = self.store.last_error
-                if store_error:
-                    return Response.json(
-                        503,
-                        {
-                            "status": "unhealthy",
-                            "last_store_error": store_error,
-                        },
-                    )
-                return Response.json(200, {"status": "ok"})
-            if method == "GET" and path == "/readyz":
-                ready, reasons = self.readiness()
-                if ready:
-                    return Response.json(200, {"status": "ready"})
-                return Response.json(
-                    503, {"status": "unready", "reasons": reasons}
-                )
-            if method == "GET" and path == "/metrics":
-                self._update_gauges()
-                return Response.text(200, REGISTRY.to_prometheus_text())
-            if method == "GET" and path == "/cluster/status":
-                return Response.json(200, self.cluster_status())
-            if method == "POST" and path == "/jobs":
-                try:
-                    payload = json.loads((body or b"").decode() or "null")
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    return Response.json(
-                        400, {"error": f"bad JSON body: {exc}"}
-                    )
-                return self.submit(JobSpec.from_dict(payload))
-            if method == "GET" and path == "/jobs":
-                return Response.json(
-                    200,
-                    {
-                        "jobs": [
-                            job.status_dict(include_report=False)
-                            for job in self.store.jobs()
-                        ],
-                        "counts": self.store.counts(),
-                    },
-                )
-            if path.startswith("/jobs/"):
-                job_id = path[len("/jobs/"):]
-                if method == "GET":
-                    job = self.store.get(job_id)
-                    if job is None:
-                        return Response.json(
-                            404, {"error": f"unknown job {job_id!r}"}
-                        )
-                    return Response.json(200, job.status_dict())
-                if method == "DELETE":
-                    return self.cancel(job_id)
-            return Response.json(404, {"error": f"no route {method} {path}"})
-        except ServeError as exc:
-            return Response.json(400, {"error": str(exc)})
-        except JournalError as exc:
-            return Response.json(
-                500, {"error": f"job store failure: {exc}"}
-            )
+        """Same route table the worker daemon serves."""
+        return handle_request(self, method, path, body)
 
 
 # -- process entrypoint ------------------------------------------------------

@@ -45,7 +45,7 @@ import hashlib
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import chaos
 from repro.campaign.driver import provision_patterns
@@ -53,9 +53,7 @@ from repro.campaign.runner import backoff_delay
 from repro.circuit.library import load_circuit
 from repro.circuit.netlist import Netlist
 from repro.core.budget import Budget, CancellationToken, qos_class
-from repro.core.diagnose import DiagnosisConfig, Diagnoser
-from repro.core.single_fault import diagnose_single_fault
-from repro.core.slat import diagnose_slat
+from repro.core.diagnose import run_method
 from repro.errors import TRANSIENT_CAUSES, TrialError, classify_cause
 from repro.obs.metrics import record_watchdog_requeue, record_watchdog_respawn
 from repro.serve.protocol import JobSpec
@@ -94,11 +92,13 @@ def execute_job(spec: JobSpec, token: CancellationToken | None = None,
     """Run one diagnosis job to a :class:`~repro.core.report.DiagnosisReport`.
 
     Mirrors the CLI ``diagnose`` path: tolerant ingest when
-    ``noise_report`` is set, strict parse otherwise, method dispatch, and
-    the optional post-diagnosis oracle.  The budget comes from the job's
-    QoS class (degraded under load) unless the spec carries explicit
-    overrides; ``token`` keeps the run cancellable either way.  The
-    netlist and test set come warm from :func:`warm_shard`.
+    ``noise_report`` is set, strict parse otherwise, then
+    :func:`~repro.core.diagnose.run_method` with the optional
+    post-diagnosis oracle.  The budget comes from the job's QoS class
+    (degraded under load) unless the spec carries explicit overrides;
+    ``token`` keeps the run cancellable either way.  Baselines run
+    ungoverned.  The netlist and test set come warm from
+    :func:`warm_shard`.
     """
     netlist, patterns = warm_shard(spec.circuit, spec.pattern_seed)
     raw = None
@@ -113,35 +113,19 @@ def execute_job(spec: JobSpec, token: CancellationToken | None = None,
 
         datalog = Datalog.from_text(spec.datalog)
     datalog.validate_for(netlist, n_patterns=patterns.n)
-    oracle_raw = (raw if raw is not None else datalog) if spec.validate else None
-
-    if spec.method == "xcover":
-        if (
-            spec.deadline_seconds is not None
-            or spec.max_multiplets is not None
-            or spec.max_expansions is not None
-        ):
-            budget = Budget(
-                deadline_seconds=spec.deadline_seconds,
-                max_multiplets=spec.max_multiplets,
-                max_expansions=spec.max_expansions,
-                token=token,
-            )
-        else:
-            budget = qos_class(spec.qos).budget(degraded=degraded, token=token)
-        report = Diagnoser(netlist, DiagnosisConfig()).diagnose(
-            patterns, datalog, budget=budget, raw=oracle_raw
-        )
-    elif spec.method == "slat":
-        report = diagnose_slat(netlist, patterns, datalog)
+    limits = (spec.deadline_seconds, spec.max_multiplets, spec.max_expansions)
+    if any(limit is not None for limit in limits):
+        budget = Budget.of(*limits, token=token)
     else:
-        report = diagnose_single_fault(netlist, patterns, datalog)
-    if oracle_raw is not None and report.consistency is None:
-        from repro.core.oracle import validate_report
-        from repro.sim.cache import sim_context
-
-        report = validate_report(sim_context(netlist, patterns), report, oracle_raw)
-    return report
+        budget = qos_class(spec.qos).budget(degraded=degraded, token=token)
+    return run_method(
+        spec.method,
+        netlist,
+        patterns,
+        datalog,
+        budget=budget,
+        raw=(raw if raw is not None else datalog) if spec.validate else None,
+    )
 
 
 # -- the executor ------------------------------------------------------------

@@ -24,6 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from repro.core.diagnose import PER_DIE_METHODS
 from repro.errors import ServeError
 
 #: Job lifecycle states, in transition order.
@@ -43,8 +44,6 @@ JOB_STATES = (
 
 #: States a job never leaves.
 TERMINAL_STATES = frozenset({STATE_DONE, STATE_FAILED, STATE_CANCELLED})
-
-_METHODS = ("xcover", "slat", "single")
 
 #: The complete submission vocabulary; :meth:`JobSpec.from_dict` rejects
 #: anything outside it so typos cannot silently mint a different job id.
@@ -86,9 +85,10 @@ class JobSpec:
             raise ServeError("job spec needs a non-empty 'circuit'")
         if not self.datalog:
             raise ServeError("job spec needs a non-empty 'datalog'")
-        if self.method not in _METHODS:
+        if self.method not in PER_DIE_METHODS:
             raise ServeError(
-                f"unknown method {self.method!r}; known: {', '.join(_METHODS)}"
+                f"unknown method {self.method!r}; "
+                f"known: {', '.join(PER_DIE_METHODS)}"
             )
         # Validate the QoS name eagerly so a bad submission is a 400 at
         # admission, not a failed job at execution.

@@ -30,6 +30,35 @@ from typing import Iterable, Mapping, Sequence
 from repro.errors import DatalogError
 
 
+def header_fields(line: str, lineno: int) -> dict:
+    """The ``circuit=``, ``patterns=`` and ``observed=`` fields of one
+    ``#`` header line, counts as ints.
+
+    A count that is not a non-negative integer raises
+    :class:`DatalogError` naming ``lineno``; other tokens are ignored.
+    """
+    fields: dict = {}
+    for token in line[1:].split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            continue
+        if key == "circuit":
+            fields[key] = value
+        elif key in ("patterns", "observed"):
+            try:
+                parsed = int(value)
+            except ValueError:
+                raise DatalogError(
+                    f"line {lineno}: bad {key}= value {value!r}"
+                ) from None
+            if parsed < 0:
+                raise DatalogError(
+                    f"line {lineno}: {key}= must be >= 0, got {parsed}"
+                )
+            fields[key] = parsed
+    return fields
+
+
 @dataclass(frozen=True, order=True)
 class FailRecord:
     """One failing pattern and its failing outputs."""
@@ -268,9 +297,7 @@ class Datalog:
         go through :func:`repro.tester.noise.ingest_text`, which
         quarantines these anomalies instead of raising.
         """
-        circuit_name = "unknown"
-        n_patterns: int | None = None
-        n_observed: int | None = None
+        header: dict = {}
         records: list[FailRecord] = []
         x_atoms: set[tuple[int, str]] = set()
         seen_lines: dict[tuple[str, int], int] = {}
@@ -280,27 +307,7 @@ class Datalog:
             if not line:
                 continue
             if line.startswith("#"):
-                for token in line[1:].split():
-                    for key in ("patterns", "observed"):
-                        if token.startswith(f"{key}="):
-                            value = token.split("=", 1)[1]
-                            try:
-                                parsed = int(value)
-                            except ValueError:
-                                raise DatalogError(
-                                    f"line {lineno}: bad {key}= value {value!r}"
-                                ) from None
-                            if parsed < 0:
-                                raise DatalogError(
-                                    f"line {lineno}: {key}= must be >= 0, "
-                                    f"got {parsed}"
-                                )
-                            if key == "patterns":
-                                n_patterns = parsed
-                            else:
-                                n_observed = parsed
-                    if token.startswith("circuit="):
-                        circuit_name = token.split("=", 1)[1]
+                header.update(header_fields(line, lineno))
                 continue
             kind, index, outs = cls._parse_record_line(line, lineno)
             prev_line = seen_lines.get((kind, index))
@@ -328,16 +335,17 @@ class Datalog:
                     raise DatalogError(f"line {lineno}: {exc}") from None
             else:
                 x_atoms.update((index, out) for out in outs)
+        n_patterns = header.get("patterns")
         if n_patterns is None:
             n_patterns = max(
                 max((r.pattern_index for r in records), default=-1),
                 max((idx for idx, _out in x_atoms), default=-1),
             ) + 1
         return cls(
-            circuit_name,
+            header.get("circuit", "unknown"),
             n_patterns,
             records,
-            n_observed=n_observed,
+            n_observed=header.get("observed"),
             x_atoms=x_atoms,
         )
 

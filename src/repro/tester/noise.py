@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro._rng import make_rng, spawn
 from repro.errors import DatalogError
-from repro.tester.datalog import Datalog, FailRecord
+from repro.tester.datalog import Datalog, FailRecord, header_fields
 
 Atom = tuple[int, str]
 
@@ -650,36 +650,14 @@ def parse_raw_text(text: str, report: IngestReport | None = None) -> RawLog:
     broken to size the log raises.
     """
     report = report or IngestReport()
-    circuit_name = "unknown"
-    n_patterns: int | None = None
-    n_observed: int | None = None
+    header: dict = {}
     records: list[RawRecord] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
         if not line:
             continue
         if line.startswith("#"):
-            for token in line[1:].split():
-                for key in ("patterns", "observed"):
-                    if token.startswith(f"{key}="):
-                        value = token.split("=", 1)[1]
-                        try:
-                            parsed = int(value)
-                        except ValueError:
-                            raise DatalogError(
-                                f"line {lineno}: bad {key}= value {value!r}"
-                            ) from None
-                        if parsed < 0:
-                            raise DatalogError(
-                                f"line {lineno}: {key}= must be >= 0, "
-                                f"got {parsed}"
-                            )
-                        if key == "patterns":
-                            n_patterns = parsed
-                        else:
-                            n_observed = parsed
-                if token.startswith("circuit="):
-                    circuit_name = token.split("=", 1)[1]
+            header.update(header_fields(line, lineno))
             continue
         if line.startswith("fail "):
             kind, body = "fail", line[5:]
@@ -699,14 +677,15 @@ def parse_raw_text(text: str, report: IngestReport | None = None) -> RawLog:
             report.warn(f"line {lineno}: malformed {kind} record, skipped")
             continue
         records.append(RawRecord(kind, index, tuple(tail.split())))
+    n_patterns = header.get("patterns")
     if n_patterns is None:
         n_patterns = max(
             (rec.pattern_index for rec in records), default=-1
         ) + 1
     return RawLog(
-        circuit_name=circuit_name,
+        circuit_name=header.get("circuit", "unknown"),
         n_patterns=n_patterns,
-        n_observed=n_observed,
+        n_observed=header.get("observed"),
         records=records,
     )
 

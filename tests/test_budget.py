@@ -189,7 +189,8 @@ class TestStageBoundaries:
 
     def test_xcover_sweeps_one_site_then_stops(self, rca6, pats, datalog):
         budget = spent_budget()
-        xc = build_xcover(sim_context(rca6, pats), datalog, budget=budget)
+        envelope = candidate_sites(rca6, datalog, budget=budget)
+        xc = build_xcover(sim_context(rca6, pats), datalog, envelope, budget=budget)
         # backtrace truncates first, then the reach sweep covers one site.
         assert len(xc.sites) == 1
         assert [t.stage for t in budget.truncations] == ["backtrace", "xcover"]
@@ -231,8 +232,10 @@ class TestStageBoundaries:
 
 class TestAnytimeDiagnosis:
     def test_ungoverned_config_builds_no_budget(self):
-        assert DiagnosisConfig().make_budget() is None
-        assert DiagnosisConfig(max_expansions=5).make_budget() is not None
+        assert Budget.of(None, None, None) is None
+        assert Budget.of(None, None, 5) is not None
+        # A token alone still needs a budget to cancel through.
+        assert Budget.of(None, None, None, CancellationToken()) is not None
 
     def test_generous_budget_is_invisible(self, rca6, pats, datalog, exact_report):
         """Governance that never bites leaves no trace in the report."""

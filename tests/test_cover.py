@@ -28,7 +28,7 @@ def _setup(netlist, patterns, defects):
     ctx = sim_context(netlist, patterns)
     envelope = candidate_sites(netlist, result.datalog)
     pt = build_pertest(ctx, result.datalog, envelope)
-    xc = build_xcover(ctx, result.datalog)
+    xc = build_xcover(ctx, result.datalog, envelope)
     return result, pt, xc
 
 

@@ -6,13 +6,13 @@ from repro.campaign import driver
 from repro.campaign.driver import (
     Campaign,
     CampaignConfig,
-    METHODS,
     provision_patterns,
     run_campaign,
 )
 from repro.campaign.samplers import PURE_MIXES
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.library import load_circuit
+from repro.core.diagnose import METHODS
 from repro.errors import ReproError
 
 
@@ -190,7 +190,7 @@ class TestSkipReasons:
 
 class TestCacheKeys:
     def test_dictionary_cache_distinguishes_pattern_content(self):
-        from repro.campaign.driver import dictionary_for
+        from repro.core.dictionary import dictionary_for
         from repro.sim.patterns import PatternSet
 
         netlist = load_circuit("c17")

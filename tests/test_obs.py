@@ -20,7 +20,7 @@ import pytest
 
 from repro.circuit.generators import c17, ripple_carry_adder
 from repro.circuit.netlist import Site
-from repro.core.diagnose import DiagnosisConfig, Diagnoser
+from repro.core.diagnose import DiagnosisConfig, Diagnoser, run_method
 from repro.faults.models import StuckAtDefect
 from repro.obs.metrics import (
     REGISTRY,
@@ -319,8 +319,8 @@ class TestTracedDeterminism:
         n, pats, result = diag_inputs
         reset_sim_caches()
         tracer = Tracer()
-        Diagnoser(n, DiagnosisConfig(validate=True)).diagnose(
-            pats, result.datalog, tracer=tracer
+        run_method(
+            "xcover", n, pats, result.datalog, raw=result.datalog, tracer=tracer
         )
         totals = stage_seconds(tracer.to_dicts())
         for stage in ("context", "backtrace", "pertest", "cover", "refine",

@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuit.generators import c17, ripple_carry_adder
 from repro.circuit.netlist import Site
-from repro.core.diagnose import Diagnoser, DiagnosisConfig
+from repro.core.diagnose import Diagnoser, run_method
 from repro.core.oracle import hypothesis_to_defect, validate_report
 from repro.core.report import (
     Candidate,
@@ -64,8 +64,9 @@ class TestCleanRoundTrip:
         result = apply_test(netlist, patterns, [defect])
         if not result.datalog.failing_indices:
             pytest.skip("defect not excited by this polarity")
-        diagnoser = Diagnoser(netlist, DiagnosisConfig(validate=True))
-        report = diagnoser.diagnose(patterns, result.datalog)
+        report = run_method(
+            "xcover", netlist, patterns, result.datalog, raw=result.datalog
+        )
         assert report.consistency is not None
         assert all(c.validation is not None for c in report.candidates)
         # The true site must survive the oracle.
@@ -86,8 +87,8 @@ class TestCleanRoundTrip:
         result = apply_test(netlist, patterns, defects)
         if not result.datalog.failing_indices:
             pytest.skip("defects not excited")
-        report = Diagnoser(netlist, DiagnosisConfig(validate=True)).diagnose(
-            patterns, result.datalog
+        report = run_method(
+            "xcover", netlist, patterns, result.datalog, raw=result.datalog
         )
         assert report.consistency is not None
         assert all(c.validation is not None for c in report.candidates)
@@ -96,9 +97,7 @@ class TestCleanRoundTrip:
         netlist = c17()
         patterns = PatternSet.exhaustive(netlist)
         empty = Datalog(netlist.name, patterns.n, [])
-        report = Diagnoser(netlist, DiagnosisConfig(validate=True)).diagnose(
-            patterns, empty
-        )
+        report = run_method("xcover", netlist, patterns, empty, raw=empty)
         assert report.consistency == "confirmed"
         assert report.stats["oracle_unexplained"] == 0.0
 
@@ -205,8 +204,8 @@ class TestNoisyValidation:
         )
         if not result.datalog.failing_indices:
             pytest.skip("all evidence corrupted away")
-        report = Diagnoser(netlist).diagnose(
-            patterns, result.datalog, raw=result.raw
+        report = run_method(
+            "xcover", netlist, patterns, result.datalog, raw=result.raw
         )
         assert report.consistency is not None
         assert all(c.validation is not None for c in report.candidates)
@@ -229,9 +228,7 @@ class TestSerialization:
         patterns = PatternSet.exhaustive(netlist)
         defect = StuckAtDefect(Site("23"), 0)
         datalog = apply_test(netlist, patterns, [defect]).datalog
-        report = Diagnoser(netlist, DiagnosisConfig(validate=True)).diagnose(
-            patterns, datalog
-        )
+        report = run_method("xcover", netlist, patterns, datalog, raw=datalog)
         clone = DiagnosisReport.from_json(report.to_json())
         assert clone.consistency == report.consistency
         assert [c.validation for c in clone.candidates] == [

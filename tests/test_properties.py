@@ -92,7 +92,11 @@ def test_envelope_completeness(netlist, seed, k, defect_seed):
         return  # tiny circuit / unlucky cocktail: nothing to check
     if result.datalog.is_passing_device:
         return
-    xc = build_xcover(sim_context(netlist, patterns), result.datalog)
+    xc = build_xcover(
+        sim_context(netlist, patterns),
+        result.datalog,
+        candidate_sites(netlist, result.datalog),
+    )
     truth = set()
     for d in defects:
         truth.update(d.ground_truth_sites())

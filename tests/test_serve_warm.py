@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro import apply_test, load_circuit, provision_patterns, sample_defect_set
-from repro.serve import executor
+from repro.core.diagnose import METHODS
 from repro.serve.executor import WARM_SHARD_LIMIT, execute_job, warm_shard
 from repro.serve.protocol import JobSpec, canonical_report_json
 from repro.sim.cache import reset_sim_caches
@@ -37,13 +37,13 @@ def die_texts(circuit: str, k: int, seeds) -> list[str]:
 
 def test_jobs_on_one_shard_key_share_netlist_and_patterns(monkeypatch):
     seen = []
-    real = executor.diagnose_single_fault
+    real = METHODS["single"]
 
-    def spy(netlist, patterns, datalog):
+    def spy(netlist, patterns, datalog, *governance):
         seen.append((netlist, patterns))
-        return real(netlist, patterns, datalog)
+        return real(netlist, patterns, datalog, *governance)
 
-    monkeypatch.setattr(executor, "diagnose_single_fault", spy)
+    monkeypatch.setitem(METHODS, "single", spy)
     first, second = die_texts("c17", 1, range(1, 40))[:2]
     for text in (first, second):
         execute_job(JobSpec(circuit="c17", datalog=text, method="single"))
