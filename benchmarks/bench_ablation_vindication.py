@@ -9,11 +9,10 @@ kernel: both settings on one device.
 import _harness
 from repro.campaign.tables import format_table
 from repro.core.diagnose import DiagnosisConfig, Diagnoser
-from repro.core.refine import RefineConfig
 
 CONFIGS = {
-    "vindication on": DiagnosisConfig(refine=RefineConfig(vindicate=True)),
-    "vindication off": DiagnosisConfig(refine=RefineConfig(vindicate=False)),
+    "vindication on": DiagnosisConfig(vindicate=True),
+    "vindication off": DiagnosisConfig(vindicate=False),
 }
 
 

@@ -293,7 +293,9 @@ def config_fingerprint(config) -> str:
     """Digest of everything that determines a trial's result.
 
     ``n_trials`` is deliberately excluded: a journaled campaign can be
-    extended with more trials without invalidating completed ones.
+    extended with more trials without invalidating completed ones.  The
+    diagnosis settings enter by name, and only those off their defaults
+    (see :func:`_settings_image`).
     """
     image = (
         config.circuit,
@@ -302,13 +304,31 @@ def config_fingerprint(config) -> str:
         config.seed,
         config.interacting,
         tuple(config.mix.items()),
-        repr(config.diagnosis_config),
+        _settings_image(config.diagnosis_config),
     )
     # Appended only when set, so journals written before the noise axis
     # existed keep their fingerprint and stay resumable.
     if getattr(config, "noise", None):
         image = image + (config.noise,)
     return hashlib.sha256(repr(image).encode()).hexdigest()[:16]
+
+
+def _settings_image(diagnosis_config) -> str:
+    """The ``DiagnosisConfig`` settings off their defaults, by name.
+
+    ``None`` and an all-default config both read ``"None"``, and a
+    setting at its default never enters, so adding or deleting a setting
+    leaves every journal that did not set it resumable.
+    """
+    if diagnosis_config is None:
+        return repr(None)
+    default = type(diagnosis_config)()
+    changed = sorted(
+        (f.name, getattr(diagnosis_config, f.name))
+        for f in fields(diagnosis_config)
+        if getattr(diagnosis_config, f.name) != getattr(default, f.name)
+    )
+    return repr(tuple(changed) or None)
 
 
 # -- the journal file ---------------------------------------------------------

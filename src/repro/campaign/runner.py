@@ -45,7 +45,7 @@ from repro.errors import (
     classify_cause,
 )
 from repro.obs.metrics import record_channel_error, record_retry, record_trial
-from repro.obs.trace import Tracer
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.cache import reset_sim_caches
 
 
@@ -124,22 +124,7 @@ def _execute_trial(
     tracer = Tracer() if getattr(config, "trace", False) else None
     started = time.perf_counter()
     try:
-        if tracer is not None:
-            with tracer.span("trial", trial=trial, seed=seed):
-                result = campaign.run_trial_ex(
-                    trial_seed=seed,
-                    k=config.k,
-                    mix=config.mix,
-                    methods=config.methods,
-                    interacting=config.interacting,
-                    diagnosis_config=config.diagnosis_config,
-                    max_resample=config.max_resample,
-                    oscillation_fallback=config.oscillation_fallback,
-                    deadline_seconds=deadline,
-                    noise=config.noise,
-                    tracer=tracer,
-                )
-        else:
+        with (tracer or NULL_TRACER).span("trial", trial=trial, seed=seed):
             result = campaign.run_trial_ex(
                 trial_seed=seed,
                 k=config.k,
@@ -151,6 +136,7 @@ def _execute_trial(
                 oscillation_fallback=config.oscillation_fallback,
                 deadline_seconds=deadline,
                 noise=config.noise,
+                tracer=tracer,
             )
     except Exception as exc:
         return TrialRecord(

@@ -42,8 +42,8 @@ from repro.core.diagnose import (
 )
 from repro.errors import DatalogError, ReproError
 from repro.obs.trace import NULL_TRACER, Tracer, to_chrome_trace
-from repro.tester.datalog import Datalog
 from repro.tester.harness import apply_test
+from repro.tester.noise import read_datalog
 
 
 def _load(circuit: str) -> Netlist:
@@ -156,21 +156,12 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         text = path.read_text()
     except OSError as exc:
         raise DatalogError(f"{path}: cannot read datalog: {exc}") from exc
-    raw = None
     try:
-        if args.noise_report:
-            # Tolerant path: anomalies are quarantined and reported
-            # instead of rejecting the log outright.
-            from repro.tester.noise import ingest_text
-
-            sanitized = ingest_text(text)
-            datalog = sanitized.datalog
-            raw = sanitized.raw
-            print(sanitized.report.describe(), file=sys.stderr)
-            for warning in sanitized.report.warnings:
+        datalog, evidence, ingest = read_datalog(text, tolerant=args.noise_report)
+        if ingest is not None:
+            print(ingest.describe(), file=sys.stderr)
+            for warning in ingest.warnings:
                 print(f"  {warning}", file=sys.stderr)
-        else:
-            datalog = Datalog.from_text(text)
         datalog.validate_for(netlist, n_patterns=patterns.n)
     except DatalogError as exc:
         raise DatalogError(f"{path}: {exc}") from exc
@@ -183,7 +174,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             patterns,
             datalog,
             config=_budget_config(args),
-            raw=(raw if raw is not None else datalog) if args.validate else None,
+            raw=evidence if args.validate else None,
             tracer=tracer,
         )
     print(report.summary())

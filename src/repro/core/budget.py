@@ -251,6 +251,8 @@ class Budget:
 #: no ceiling of its own -- even "unbounded" batch work must terminate
 #: while the daemon is shedding load.
 DEGRADED_FALLBACK_EXPANSIONS = 250_000
+#: The factor a degraded request scales its class's count ceilings by.
+DEGRADED_SCALE = 0.25
 
 
 @dataclass(frozen=True)
@@ -260,7 +262,7 @@ class QosClass:
     The diagnosis daemon maps every submitted job onto a class; the class
     decides the :class:`Budget` the job runs under.  Under overload
     (``degraded=True``) every count ceiling is scaled by
-    ``degraded_scale`` and ``degraded_deadline`` replaces the deadline, so
+    :data:`DEGRADED_SCALE` and ``degraded_deadline`` replaces the deadline, so
     a saturated daemon degrades to truncated-but-useful verdicts instead
     of queueing unbounded work.
 
@@ -274,7 +276,6 @@ class QosClass:
     deadline_seconds: float | None = None
     max_expansions: int | None = None
     max_multiplets: int | None = None
-    degraded_scale: float = 0.25
     degraded_deadline: float | None = None
 
     def budget(
@@ -299,12 +300,12 @@ class QosClass:
                 else deadline
             )
             expansions = (
-                max(1, int(expansions * self.degraded_scale))
+                max(1, int(expansions * DEGRADED_SCALE))
                 if expansions is not None
                 else DEGRADED_FALLBACK_EXPANSIONS
             )
             if multiplets is not None:
-                multiplets = max(1, int(multiplets * self.degraded_scale))
+                multiplets = max(1, int(multiplets * DEGRADED_SCALE))
         return Budget.of(deadline, multiplets, expansions, token, clock)
 
 

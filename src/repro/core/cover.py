@@ -27,6 +27,15 @@ from repro.core.budget import CAUSE_CHECKS, CAUSE_MULTIPLETS, Budget
 from repro.core.pertest import PerTestAnalysis, pair_search
 from repro.core.xcover import Atom, XCoverAnalysis
 
+#: The most sites a multiplet may hold, in every cover search: the greedy
+#: covers and the exact engine's cardinality sweep stop there.
+MAX_MULTIPLET_SIZE = 6
+#: How many candidates the minimum-cover enumerations combine.
+ENUMERATION_POOL = 18
+#: The size up to which the minimum-cover enumerations look for covers
+#: (the pertest pipeline raises it to the greedy solution's size).
+ENUMERATION_DEPTH = 3
+
 
 @dataclass(frozen=True)
 class CoverSolution:
@@ -44,7 +53,6 @@ class CoverSolution:
 
 def greedy_cover(
     xc: XCoverAnalysis,
-    max_size: int = 6,
     top_k: int = 24,
     rescue_pair_cap: int = 400,
     budget: Budget | None = None,
@@ -62,11 +70,11 @@ def greedy_cover(
     covered: frozenset[Atom] = frozenset()
     evaluations = 0
 
-    while covered != atoms and len(chosen) < max_size:
+    while covered != atoms and len(chosen) < MAX_MULTIPLET_SIZE:
         if (
             budget is not None
             and chosen
-            and budget.stop("cover", len(chosen), max_size)
+            and budget.stop("cover", len(chosen), MAX_MULTIPLET_SIZE)
         ):
             break
         uncovered = atoms - covered
@@ -101,7 +109,7 @@ def greedy_cover(
             continue
 
         # Greedy stalled: masking deadlock or genuinely unexplainable residue.
-        if len(chosen) + 2 <= max_size:
+        if len(chosen) + 2 <= MAX_MULTIPLET_SIZE:
             pair, pair_cov, spent = _pair_rescue(
                 xc, chosen, covered, uncovered, rescue_pair_cap, budget
             )
@@ -225,20 +233,20 @@ def _sweep_min_covers(
 
 def enumerate_min_covers(
     xc: XCoverAnalysis,
-    max_candidates: int = 18,
-    max_size: int = 4,
+    max_size: int = ENUMERATION_DEPTH,
     max_checks: int = 20000,
     budget: Budget | None = None,
 ) -> list[tuple[Site, ...]]:
     """All minimum-cardinality covers over the most promising candidates.
 
-    Candidates are the ``max_candidates`` sites with the largest individual
-    reach.  Sizes are explored in increasing order; the first size with a
-    complete cover wins and *all* covers of that size are returned (the
-    diagnosis resolution statistic).  Returns an empty list when the check
-    budget is exhausted without a complete cover.  A combination covers
-    when the union of its members' reaches is every atom (the only test at
-    size 1, where reach is exact), else when its joint X reach is.
+    Candidates are the :data:`ENUMERATION_POOL` sites with the largest
+    individual reach.  Sizes are explored in increasing order; the first
+    size with a complete cover wins and *all* covers of that size are
+    returned (the diagnosis resolution statistic).  Returns an empty list
+    when the check budget is exhausted without a complete cover.  A
+    combination covers when the union of its members' reaches is every
+    atom (the only test at size 1, where reach is exact), else when its
+    joint X reach is.
     ``max_checks`` and a :class:`Budget` bound the sweep as in
     :func:`_sweep_min_covers`.
     """
@@ -249,7 +257,7 @@ def enumerate_min_covers(
         (s for s in xc.sites if xc.atoms_of(s)),
         key=lambda s: len(xc.atoms_of(s)),
         reverse=True,
-    )[:max_candidates]
+    )[:ENUMERATION_POOL]
 
     def covers(combo: tuple[Site, ...]) -> bool:
         union = frozenset().union(*(xc.atoms_of(s) for s in combo))
@@ -284,8 +292,7 @@ class PerTestCoverSolution:
 
 def greedy_pertest_cover(
     analysis: PerTestAnalysis,
-    max_size: int = 6,
-    pair_cap: int = 300,
+    max_size: int = MAX_MULTIPLET_SIZE,
     budget: Budget | None = None,
 ) -> PerTestCoverSolution:
     """Greedy multiplet construction under the exact per-test criterion.
@@ -341,7 +348,7 @@ def greedy_pertest_cover(
             break
         if idx in explained:
             continue
-        pairs = pair_search(analysis, idx, cap=pair_cap, budget=budget)
+        pairs = pair_search(analysis, idx, budget=budget)
         if not pairs:
             continue
         for pair in pairs:
@@ -387,12 +394,12 @@ def greedy_pertest_cover(
 def enumerate_pertest_min_covers(
     analysis: PerTestAnalysis,
     seed_sites: tuple[Site, ...] = (),
-    max_candidates: int = 18,
-    max_size: int = 3,
+    max_size: int = ENUMERATION_DEPTH,
     max_checks: int = 4000,
     budget: Budget | None = None,
 ) -> list[tuple[Site, ...]]:
-    """All minimum-cardinality per-test covers over a bounded pool.
+    """All minimum-cardinality per-test covers over a pool of
+    :data:`ENUMERATION_POOL` sites.
 
     The pool unions the greedy solution (``seed_sites``), every exact
     singleton explainer, and the sites with the largest partial evidence;
@@ -410,7 +417,7 @@ def enumerate_pertest_min_covers(
     # ``pooled`` mirrors ``pool`` for membership tests; the list keeps the
     # order, and any duplicate among the leading seeds.
     evidence = analysis.evidence
-    pool: list[Site] = list(seed_sites[: max(1, max_candidates // 3)])
+    pool: list[Site] = list(seed_sites[: ENUMERATION_POOL // 3])
     pooled = set(pool)
     for site in evidence.by_frequency():
         if site not in pooled:
@@ -420,12 +427,12 @@ def enumerate_pertest_min_covers(
         if site not in pooled:
             pool.append(site)
             pooled.add(site)
-    if len(pool) < max_candidates:
+    if len(pool) < ENUMERATION_POOL:
         by_partial = sorted(
             (s for s in analysis.sites if s not in pooled), key=evidence.key
         )
-        pool.extend(by_partial[: max_candidates - len(pool)])
-    pool = pool[:max_candidates]
+        pool.extend(by_partial[: ENUMERATION_POOL - len(pool)])
+    pool = pool[:ENUMERATION_POOL]
 
     return _sweep_min_covers(
         pool,

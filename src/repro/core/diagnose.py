@@ -29,13 +29,15 @@ asked; the CLI, the service and campaigns all diagnose through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro._bits import popcount
 from repro.circuit.netlist import Netlist, Site
 from repro.core.backtrace import candidate_sites
 from repro.core.budget import Budget
 from repro.core.cover import (
+    ENUMERATION_DEPTH,
+    MAX_MULTIPLET_SIZE,
     enumerate_min_covers,
     enumerate_pertest_min_covers,
     greedy_cover,
@@ -45,7 +47,7 @@ from repro.core.dictionary import diagnose_dictionary, dictionary_for
 from repro.core.hitting import hitting_set_cover
 from repro.core.oracle import concrete_defects, validate_report
 from repro.core.pertest import PerTestAnalysis, build_pertest
-from repro.core.refine import RefineConfig, allocate_hypotheses, arbitrary_hypothesis
+from repro.core.refine import allocate_hypotheses, arbitrary_hypothesis
 from repro.core.report import Candidate, DiagnosisReport, Hypothesis, Multiplet
 from repro.core.scoring import MatchCounter, multiplet_iou
 from repro.core.single_fault import diagnose_single_fault
@@ -62,11 +64,24 @@ from repro.tester.datalog import Datalog
 METHOD_NAME = "xcover"  #: campaign/report tag of the proposed method
 #: Values of :attr:`DiagnosisConfig.cover_engine` (and ``--cover-engine``).
 COVER_ENGINES = ("greedy", "exact")
+#: How many minimum covers a report scores and lists.
+MAX_REPORTED_MULTIPLETS = 10
 
 
 @dataclass(frozen=True)
 class DiagnosisConfig:
-    """Tuning knobs of the proposed diagnosis (defaults fit the paper scope)."""
+    """The settings a caller chooses for the proposed diagnosis.
+
+    Each is set by some caller: ``engine`` by ablation A, ``cover_engine``
+    by ``--cover-engine``, ``enumerate_exact`` and
+    ``per_pattern_candidates`` by ablation B, ``vindicate`` by ablation C,
+    and the three anytime limits by the CLI's flags and campaigns.  Every
+    other bound of the search is a named constant of the module that
+    applies it: the multiplet ceiling and the enumeration's pool and
+    depth in :mod:`repro.core.cover`, the pair cap in
+    :mod:`repro.core.pertest`, the aggressor pool in
+    :mod:`repro.core.refine`, and :data:`MAX_REPORTED_MULTIPLETS` here.
+    """
 
     engine: str = "pertest"  #: "pertest" (exact) or "xcover" (envelope-only)
     #: Multiplet search engine of the pertest pipeline:
@@ -80,26 +95,17 @@ class DiagnosisConfig:
     #: The greedy solution always runs first as the anytime incumbent and
     #: fallback; ``"exact"`` refines it.
     cover_engine: str = "greedy"
-    include_branches: bool = True
-    max_multiplet_size: int = 6
-    pair_cap: int = 300
+    #: Enumerate every minimum cover after the greedy (the resolution
+    #: statistic); off, the greedy solution is the only multiplet.
     enumerate_exact: bool = True
-    exact_max_candidates: int = 18
-    exact_max_size: int = 3
-    max_reported_multiplets: int = 10
     #: Per failing pattern, how many exact singleton explainers join the
     #: candidate list even when outside every minimum cover (0 disables).
     #: This is the per-test reporting of the method: each failing pattern
     #: names its own suspects, and the union is the resolution.
     per_pattern_candidates: int = 6
-    #: Drop per-pattern extras for which no concrete fault model survives
-    #: vindication (arbitrary-only coincidental equivalents).  Multiplet
-    #: members are never dropped, so model-free (byzantine) defects located
-    #: by the covering stage stay reported.
-    drop_unmodeled_extras: bool = True
-    greedy_top_k: int = 24  #: xcover engine only
-    rescue_pair_cap: int = 400  #: xcover engine only
-    refine: RefineConfig = field(default_factory=RefineConfig)
+    #: Drop a concrete fault model that a passing pattern contradicts
+    #: (see :func:`~repro.core.refine.allocate_hypotheses`).
+    vindicate: bool = True
     #: Anytime resource governance (see :mod:`repro.core.budget`): a
     #: wall-clock deadline in seconds, a ceiling on enumerated multiplet
     #: covers, and a ceiling on expansion nodes (joint simulations / cover
@@ -208,9 +214,7 @@ class Diagnoser:
             with t.span("context"):
                 ctx = sim_context(self.netlist, patterns)
             with t.span("backtrace") as sp_backtrace:
-                envelope = candidate_sites(
-                    self.netlist, datalog, cfg.include_branches, budget=budget
-                )
+                envelope = candidate_sites(self.netlist, datalog, budget=budget)
             started = root.start
             t_sim = sp_backtrace.end
 
@@ -240,7 +244,7 @@ class Diagnoser:
                         site for group in [*multiplet_sets, extras] for site in group
                     )
                 )
-                reported_sets = multiplet_sets[: cfg.max_reported_multiplets]
+                reported_sets = multiplet_sets[:MAX_REPORTED_MULTIPLETS]
 
                 core_sites = {site for group in multiplet_sets for site in group}
                 counter = MatchCounter.of_datalog(datalog)
@@ -272,13 +276,12 @@ class Diagnoser:
                         datalog,
                         site,
                         evidence,
-                        cfg.refine,
+                        vindicate=cfg.vindicate,
                         budget=budget,
                         counter=counter,
                     )
                     if (
-                        cfg.drop_unmodeled_extras
-                        and site not in core_sites
+                        site not in core_sites
                         and all(h.kind == "arbitrary" for h in hypotheses)
                         and not (budget is not None and budget.exceeded())
                     ):
@@ -406,23 +409,18 @@ class Diagnoser:
         with tracer.span("pertest"):
             analysis = build_pertest(ctx, datalog, envelope, budget=budget)
         with tracer.span("cover"):
-            solution = greedy_pertest_cover(
-                analysis,
-                max_size=cfg.max_multiplet_size,
-                pair_cap=cfg.pair_cap,
-                budget=budget,
-            )
+            solution = greedy_pertest_cover(analysis, budget=budget)
             multiplet_sets: list[tuple[Site, ...]] = []
             optimality: str | None = None
             unexplained = solution.unexplained
             engine_stats: dict[str, float] = {}
+            # Search at least up to the size the greedy needed, so that
+            # every tying alternative of a pair-rescued explanation is
+            # reported.
+            depth = min(max(ENUMERATION_DEPTH, len(solution.sites)), MAX_MULTIPLET_SIZE)
             if cfg.cover_engine == "exact":
                 # Implicit-hitting-set refinement: the greedy solution is
                 # the incumbent (depth bound + anytime fallback).
-                depth = min(
-                    max(cfg.exact_max_size, len(solution.sites)),
-                    cfg.max_multiplet_size,
-                )
                 result = hitting_set_cover(
                     analysis,
                     seed_sites=solution.sites + solution.pair_candidates,
@@ -440,17 +438,10 @@ class Diagnoser:
                     # A verified cover explains every failing pattern.
                     unexplained = frozenset()
             elif cfg.enumerate_exact:
-                # Enumerate at least up to the size the greedy needed, so
-                # that every tying alternative of a pair-rescued explanation
-                # is reported (bounded overall by max_checks inside).
-                depth = min(
-                    max(cfg.exact_max_size, len(solution.sites)),
-                    cfg.max_multiplet_size,
-                )
+                # Bounded overall by max_checks inside.
                 multiplet_sets = enumerate_pertest_min_covers(
                     analysis,
                     seed_sites=solution.sites + solution.pair_candidates,
-                    max_candidates=cfg.exact_max_candidates,
                     max_size=depth,
                     budget=budget,
                 )
@@ -496,21 +487,10 @@ class Diagnoser:
         with tracer.span("xcover"):
             xc = build_xcover(ctx, datalog, envelope, budget=budget)
         with tracer.span("cover"):
-            solution = greedy_cover(
-                xc,
-                max_size=cfg.max_multiplet_size,
-                top_k=cfg.greedy_top_k,
-                rescue_pair_cap=cfg.rescue_pair_cap,
-                budget=budget,
-            )
+            solution = greedy_cover(xc, budget=budget)
             multiplet_sets: list[tuple[Site, ...]] = []
             if cfg.enumerate_exact:
-                multiplet_sets = enumerate_min_covers(
-                    xc,
-                    max_candidates=cfg.exact_max_candidates,
-                    max_size=cfg.exact_max_size,
-                    budget=budget,
-                )
+                multiplet_sets = enumerate_min_covers(xc, budget=budget)
             known = {tuple(sorted(map(str, m))) for m in multiplet_sets}
             if (
                 solution.sites

@@ -32,6 +32,8 @@ from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
 METHOD_NAME = "dictionary"
+#: How many best-matching entries a lookup returns.
+TOP_K = 10
 
 
 @dataclass
@@ -48,9 +50,10 @@ class FaultDictionary:
         return len(self.signatures)
 
     def lookup(
-        self, datalog: Datalog, top_k: int = 10
+        self, datalog: Datalog
     ) -> list[tuple[float, StuckAtDefect, frozenset[Atom]]]:
-        """Entries ranked by IoU against the observed fail atoms."""
+        """The :data:`TOP_K` entries ranked highest by IoU against the
+        observed fail atoms."""
         observed = frozenset(datalog.fail_atoms())
         scored = [
             (atoms_iou(signature, observed), fault, signature)
@@ -58,19 +61,15 @@ class FaultDictionary:
             if signature & observed
         ]
         scored.sort(key=lambda item: (-item[0], str(item[1])))
-        return scored[:top_k]
+        return scored[:TOP_K]
 
 
-def build_dictionary(
-    netlist: Netlist,
-    patterns: PatternSet,
-    include_branches: bool = True,
-) -> FaultDictionary:
+def build_dictionary(netlist: Netlist, patterns: PatternSet) -> FaultDictionary:
     """Simulate the whole collapsed stuck-at universe (the expensive step)."""
     started = time.perf_counter()
     ctx = sim_context(netlist, patterns)
     signatures: dict[StuckAtDefect, frozenset[Atom]] = {}
-    for fault in collapse_stuck_at(netlist, include_branches).representatives:
+    for fault in collapse_stuck_at(netlist).representatives:
         diff = defect_output_diff(ctx, fault)
         signatures[fault] = diff_to_atoms(diff)
     return FaultDictionary(
@@ -106,9 +105,7 @@ def dictionary_for(netlist: Netlist, patterns: PatternSet) -> FaultDictionary:
 
 
 def diagnose_dictionary(
-    dictionary: FaultDictionary,
-    datalog: Datalog,
-    top_k: int = 10,
+    dictionary: FaultDictionary, datalog: Datalog
 ) -> DiagnosisReport:
     """Dictionary lookup diagnosis (requires a prebuilt dictionary)."""
     if datalog.n_patterns != dictionary.patterns.n:
@@ -119,7 +116,7 @@ def diagnose_dictionary(
         return DiagnosisReport(method=METHOD_NAME, circuit=netlist.name)
 
     observed = frozenset(datalog.fail_atoms())
-    ranked = dictionary.lookup(datalog, top_k=top_k)
+    ranked = dictionary.lookup(datalog)
     exact = [(iou, f, sig) for iou, f, sig in ranked if iou == 1.0]
     kept = exact if exact else ranked
 

@@ -67,6 +67,7 @@ from repro.core.budget import (
     OPTIMALITY_OPTIMAL,
     Budget,
 )
+from repro.core.cover import MAX_MULTIPLET_SIZE
 from repro.core.pertest import PerTestAnalysis
 
 
@@ -112,7 +113,7 @@ def hitting_set_cover(
     analysis: PerTestAnalysis,
     seed_sites: Sequence[Site] = (),
     incumbent: Sequence[Site] | None = None,
-    max_size: int = 6,
+    max_size: int = MAX_MULTIPLET_SIZE,
     pool_cap: int = 384,
     max_verifications: int = 20_000,
     max_combos: int = 500_000,

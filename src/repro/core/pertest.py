@@ -61,6 +61,9 @@ from repro.sim.cache import FlipView, Reproducers, SimContext
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
+#: How many site pairs :func:`pair_search` tries for one failing pattern.
+PAIR_CAP = 300
+
 
 def _masked(diff: Mapping[str, int], mask: int) -> dict[str, int]:
     """``diff`` restricted to the patterns in ``mask`` (empty outputs dropped)."""
@@ -193,32 +196,21 @@ class PerTestAnalysis:
         self._joint_cache[key] = result
         return result
 
-    def subset_explains(self, subset: Sequence[Site], pattern_index: int) -> bool:
-        """Does the multiplet ``subset`` explain pattern ``t`` exactly?
-
-        Tries every flip/pin assignment over the subset's sites.  X-tier
-        strobes of the pattern carry no evidence, so predicted flips
-        there neither help nor disqualify a match.
-        """
-        bit = self._fail_mask & (1 << pattern_index)
-        sites = list(dict.fromkeys(subset))
-        for r in range(1, len(sites) + 1):
-            for flips in combinations(sites, r):
-                diff = self.assignment_diff(flips, sites)
-                if _match_vector(diff, self._obs_vec, self._x_vec, bit):
-                    return True
-        return False
-
-    def explained_patterns(self, multiplet: Sequence[Site]) -> set[int]:
+    def explained_patterns(
+        self, multiplet: Sequence[Site], within: int | None = None
+    ) -> set[int]:
         """Failing patterns explained by some flip/pin assignment of the
-        multiplet.
+        multiplet, among those in ``within`` (a bitset over pattern
+        indices) when given.
 
         Enumerates flip sets by increasing size with the remaining sites
-        pinned; each assignment costs one bit-parallel resimulation, cached
-        across calls and across dies.
+        pinned, and stops once every asked pattern is explained; each
+        assignment costs one bit-parallel resimulation, cached across
+        calls and across dies.  X-tier strobes carry no evidence, so
+        predicted flips there neither help nor disqualify a match.
         """
         sites = list(dict.fromkeys(multiplet))
-        remaining = self._fail_mask
+        remaining = self._fail_mask if within is None else self._fail_mask & within
         explained: set[int] = set()
         for size in range(1, len(sites) + 1):
             if not remaining:
@@ -394,26 +386,24 @@ class Evidence:
 def pair_search(
     analysis: PerTestAnalysis,
     pattern_index: int,
-    pool: Sequence[Site] | None = None,
-    cap: int = 300,
     budget: Budget | None = None,
 ) -> list[tuple[Site, Site]]:
     """Site pairs whose joint assignment reproduces pattern ``t`` exactly.
 
     Used for failing patterns with no singleton explanation -- the
     signature of interacting defects (joint sensitization or masking).
-    The pool defaults to candidate sites inside the fan-in cone of the
+    The pool is the candidate sites inside the fan-in cone of the
     pattern's failing outputs, ranked by single-flip overlap with the
-    observed failures so that promising pairs are tried first.
+    observed failures so that promising pairs are tried first, and the
+    first :data:`PAIR_CAP` pairs are tried.
 
-    A ``budget`` bounds the pair sweep on top of ``cap``: each tried pair
+    A ``budget`` bounds the pair sweep on top of the cap: each tried pair
     charges one expansion, and exhaustion ends the search with the matches
     found so far (the caller records the stage truncation).
     """
     observed = analysis.datalog.failing_outputs_of(pattern_index)
-    if pool is None:
-        cone = analysis.netlist.fanin_cone(observed)
-        pool = [s for s in analysis.sites if s.net in cone]
+    cone = analysis.netlist.fanin_cone(observed)
+    pool = [s for s in analysis.sites if s.net in cone]
 
     def overlap(site: Site) -> int:
         return len(analysis.diff_at(site, pattern_index) & observed)
@@ -422,13 +412,13 @@ def pair_search(
     matches: list[tuple[Site, Site]] = []
     tried = 0
     for a, b in combinations(ranked, 2):
-        if tried >= cap:
+        if tried >= PAIR_CAP:
             break
         if budget is not None:
             if tried and budget.exceeded():
                 break
             budget.charge()
         tried += 1
-        if analysis.subset_explains((a, b), pattern_index):
+        if analysis.explained_patterns((a, b), 1 << pattern_index):
             matches.append((a, b))
     return matches

@@ -14,7 +14,6 @@ honestly labeled candidate.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from repro._bits import popcount
 from repro.circuit.netlist import Site
@@ -34,16 +33,11 @@ from repro.sim.cache import SimContext
 from repro.sim.faultsim import defect_output_diff
 from repro.tester.datalog import Datalog
 
-
-@dataclass(frozen=True)
-class RefineConfig:
-    """Knobs for the hypothesis allocation stage."""
-
-    vindicate: bool = True
-    max_aggressors: int = 8
-    bridge_level_distance: int = 2
-    try_bridges: bool = True
-    try_transitions: bool = True
+#: How many dominant-bridge aggressors a victim site is tried against.
+MAX_AGGRESSORS = 8
+#: How many logic levels an aggressor may lie from its victim (level
+#: proximity proxies layout adjacency).
+BRIDGE_LEVEL_DISTANCE = 2
 
 
 def arbitrary_hypothesis(site: Site, xc: XCoverAnalysis) -> Hypothesis:
@@ -62,8 +56,9 @@ def allocate_hypotheses(
     ctx: SimContext,
     datalog: Datalog,
     site: Site,
-    xc: XCoverAnalysis,
-    config: RefineConfig | None = None,
+    evidence: XCoverAnalysis,
+    *,
+    vindicate: bool = True,
     budget: Budget | None = None,
     counter: MatchCounter | None = None,
 ) -> tuple[Hypothesis, ...]:
@@ -73,7 +68,8 @@ def allocate_hypotheses(
     netlist and test set the datalog came from, and scored by
     ``counter``, the datalog's :class:`~repro.core.scoring.MatchCounter`
     (built here when not given; a caller refining many sites builds it
-    once).
+    once).  With ``vindicate`` a model that some passing pattern
+    contradicts (a false alarm) is dropped.
 
     Under a ``budget`` every concrete-model simulation charges one
     expansion and is preceded by a check (after the first, so a site is
@@ -82,7 +78,6 @@ def allocate_hypotheses(
     fallback keeps the site reported.  The caller records the stage-level
     ``refine`` truncation.
     """
-    config = config or RefineConfig()
     if counter is None:
         counter = MatchCounter.of_datalog(datalog)
 
@@ -106,7 +101,7 @@ def allocate_hypotheses(
         hits, misses, fa = counter.counts(diff)
         if hits == 0:
             return
-        if config.vindicate and fa > 0:
+        if vindicate and fa > 0:
             return  # deterministic model contradicted by a passing pattern
         hypotheses.append(
             Hypothesis(
@@ -127,12 +122,11 @@ def allocate_hypotheses(
         else:
             score(f"open{value}", OpenDefect(site, value))
 
-    if config.try_transitions:
-        score("str", TransitionDefect(site, TransitionKind.SLOW_TO_RISE))
-        score("stf", TransitionDefect(site, TransitionKind.SLOW_TO_FALL))
+    score("str", TransitionDefect(site, TransitionKind.SLOW_TO_RISE))
+    score("stf", TransitionDefect(site, TransitionKind.SLOW_TO_FALL))
 
-    if config.try_bridges and site.is_stem and not ctx.netlist.is_input(site.net):
-        for aggressor in _aggressor_pool(ctx, site, xc, config):
+    if site.is_stem and not ctx.netlist.is_input(site.net):
+        for aggressor in _aggressor_pool(ctx, site, evidence):
             score(
                 "bridge",
                 BridgeDefect(site.net, aggressor),
@@ -140,14 +134,11 @@ def allocate_hypotheses(
             )
 
     hypotheses.sort(key=lambda h: h.score, reverse=True)
-    return tuple(hypotheses) + (arbitrary_hypothesis(site, xc),)
+    return tuple(hypotheses) + (arbitrary_hypothesis(site, evidence),)
 
 
 def _aggressor_pool(
-    ctx: SimContext,
-    site: Site,
-    xc: XCoverAnalysis,
-    config: RefineConfig,
+    ctx: SimContext, site: Site, evidence: XCoverAnalysis
 ) -> list[str]:
     """Bounded dominant-bridge aggressor candidates for a victim site.
 
@@ -160,9 +151,9 @@ def _aggressor_pool(
     base = ctx.base
     victim = site.net
     victim_level = netlist.level(victim)
-    relevant = {idx for idx, _out in xc.atoms_of(site)}
+    relevant = {idx for idx, _out in evidence.atoms_of(site)}
     if not relevant:
-        relevant = set(xc.datalog.failing_indices)
+        relevant = set(evidence.datalog.failing_indices)
     relevance_mask = 0
     for idx in relevant:
         relevance_mask |= 1 << idx
@@ -170,12 +161,13 @@ def _aggressor_pool(
     ids = netlist.net_ids
     victim_value = base[victim]
     scored: list[tuple[int, str]] = []
-    distance = config.bridge_level_distance
-    for level in range(victim_level - distance, victim_level + distance + 1):
+    for level in range(
+        victim_level - BRIDGE_LEVEL_DISTANCE, victim_level + BRIDGE_LEVEL_DISTANCE + 1
+    ):
         for net in netlist.nets_at_level(level):
             if victim_cone >> ids[net] & 1:
                 continue
             count = popcount((base[net] ^ victim_value) & relevance_mask)
             if count:
                 scored.append((-count, net))
-    return [net for _count, net in heapq.nsmallest(config.max_aggressors, scored)]
+    return [net for _count, net in heapq.nsmallest(MAX_AGGRESSORS, scored)]

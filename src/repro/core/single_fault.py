@@ -25,14 +25,12 @@ from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
 METHOD_NAME = "single-stuck-at"
+#: How many best-matching faults a report keeps when none matches exactly.
+TOP_K = 10
 
 
 def diagnose_single_fault(
-    netlist: Netlist,
-    patterns: PatternSet,
-    datalog: Datalog,
-    top_k: int = 10,
-    include_branches: bool = True,
+    netlist: Netlist, patterns: PatternSet, datalog: Datalog
 ) -> DiagnosisReport:
     """Best-matching single stuck-at explanations for the datalog."""
     if datalog.n_patterns != patterns.n:
@@ -46,7 +44,7 @@ def diagnose_single_fault(
     counter = MatchCounter.of_datalog(datalog)
 
     scored: list[tuple[float, Hypothesis]] = []
-    for site in netlist.sites_of(candidate_sites(netlist, datalog, include_branches)):
+    for site in netlist.sites_of(candidate_sites(netlist, datalog)):
         for value in (0, 1):
             diff = defect_output_diff(ctx, StuckAtDefect(site, value))
             hits, misses, fa = counter.counts(diff)
@@ -68,7 +66,7 @@ def diagnose_single_fault(
     scored.sort(key=lambda pair: (-pair[0], str(pair[1].site), pair[1].kind))
 
     exact = [h for iou, h in scored if iou == 1.0]
-    kept = exact if exact else [h for _iou, h in scored[:top_k]]
+    kept = exact if exact else [h for _iou, h in scored[:TOP_K]]
 
     by_site: dict = {}
     for h in kept:
@@ -84,7 +82,7 @@ def diagnose_single_fault(
             total_atoms=len(observed),
             iou=iou,
         )
-        for iou, h in scored[: max(top_k, len(exact))]
+        for iou, h in scored[: max(TOP_K, len(exact))]
         if h in kept
     )
     best_cover = max((m.covered_atoms for m in multiplets), default=0)

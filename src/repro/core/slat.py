@@ -32,14 +32,13 @@ from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
 METHOD_NAME = "slat"
+#: The most stuck-at faults the greedy multiplet cover of the SLAT
+#: patterns chooses.
+MAX_MULTIPLET_FAULTS = 8
 
 
 def diagnose_slat(
-    netlist: Netlist,
-    patterns: PatternSet,
-    datalog: Datalog,
-    include_branches: bool = True,
-    max_multiplet_size: int = 8,
+    netlist: Netlist, patterns: PatternSet, datalog: Datalog
 ) -> DiagnosisReport:
     """Per-test (SLAT) diagnosis over the stuck-at universe in the envelope."""
     if datalog.n_patterns != patterns.n:
@@ -57,7 +56,7 @@ def diagnose_slat(
     # Per-test exact matching: fault f explains pattern t iff its predicted
     # failing outputs at t equal the observed failing outputs at t.
     explains: dict[StuckAtDefect, set[int]] = {}
-    for site in netlist.sites_of(candidate_sites(netlist, datalog, include_branches)):
+    for site in netlist.sites_of(candidate_sites(netlist, datalog)):
         for value in (0, 1):
             fault = StuckAtDefect(site, value)
             diff = defect_output_diff(ctx, fault)
@@ -80,7 +79,7 @@ def diagnose_slat(
     chosen: list[StuckAtDefect] = []
     covered: set[int] = set()
     pool = dict(explains)
-    while covered != slat_patterns and len(chosen) < max_multiplet_size:
+    while covered != slat_patterns and len(chosen) < MAX_MULTIPLET_FAULTS:
         best_fault, best_gain = None, 0
         for fault, matched in pool.items():
             gain = len(matched - covered)

@@ -58,6 +58,7 @@ from repro.errors import TRANSIENT_CAUSES, TrialError, classify_cause
 from repro.obs.metrics import record_watchdog_requeue, record_watchdog_respawn
 from repro.serve.protocol import JobSpec
 from repro.sim.patterns import PatternSet
+from repro.tester.noise import read_datalog
 
 _STOP = object()
 
@@ -91,8 +92,9 @@ def execute_job(spec: JobSpec, token: CancellationToken | None = None,
                 degraded: bool = False):
     """Run one diagnosis job to a :class:`~repro.core.report.DiagnosisReport`.
 
-    Mirrors the CLI ``diagnose`` path: tolerant ingest when
-    ``noise_report`` is set, strict parse otherwise, then
+    Mirrors the CLI ``diagnose`` path: the die is read by
+    :func:`~repro.tester.noise.read_datalog` (tolerant when
+    ``noise_report`` is set, strict otherwise), then diagnosed by
     :func:`~repro.core.diagnose.run_method` with the optional
     post-diagnosis oracle.  The budget comes from the job's QoS class
     (degraded under load) unless the spec carries explicit overrides;
@@ -101,17 +103,7 @@ def execute_job(spec: JobSpec, token: CancellationToken | None = None,
     :func:`warm_shard`.
     """
     netlist, patterns = warm_shard(spec.circuit, spec.pattern_seed)
-    raw = None
-    if spec.noise_report:
-        from repro.tester.noise import ingest_text
-
-        sanitized = ingest_text(spec.datalog)
-        datalog = sanitized.datalog
-        raw = sanitized.raw
-    else:
-        from repro.tester.datalog import Datalog
-
-        datalog = Datalog.from_text(spec.datalog)
+    datalog, evidence, _ingest = read_datalog(spec.datalog, tolerant=spec.noise_report)
     datalog.validate_for(netlist, n_patterns=patterns.n)
     limits = (spec.deadline_seconds, spec.max_multiplets, spec.max_expansions)
     if any(limit is not None for limit in limits):
@@ -124,7 +116,7 @@ def execute_job(spec: JobSpec, token: CancellationToken | None = None,
         patterns,
         datalog,
         budget=budget,
-        raw=(raw if raw is not None else datalog) if spec.validate else None,
+        raw=evidence if spec.validate else None,
     )
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.circuit.netlist import Netlist, Site
 from repro.errors import OscillationError
-from repro.faults.injection import FaultyCircuit
+from repro.faults.injection import FaultyCircuit, defect_creates_feedback
 from repro.faults.models import (
     BridgeDefect,
     BridgeKind,
@@ -69,15 +69,12 @@ def single_defect_overrides(ctx: SimContext, defect: Defect) -> dict[Site, int] 
         v = base[defect.site.net]
         return {defect.site: v ^ (defect.flip_vector(ctx.patterns.n) & mask)}
     if isinstance(defect, BridgeDefect):
-        ids = netlist.net_ids
-        if netlist.fanout_bits([defect.victim]) >> ids[defect.aggressor] & 1:
+        if defect_creates_feedback(netlist, [defect]):
             return None
         a = base[defect.aggressor]
-        v = base[defect.victim]
         if defect.kind is BridgeKind.DOMINANT:
             return {Site(defect.victim): a}
-        if netlist.fanout_bits([defect.aggressor]) >> ids[defect.victim] & 1:
-            return None
+        v = base[defect.victim]
         merged = (v & a) if defect.kind is BridgeKind.WIRED_AND else (v | a)
         return {Site(defect.victim): merged, Site(defect.aggressor): merged}
     return None

@@ -697,6 +697,26 @@ def ingest_text(text: str) -> SanitizedLog:
     return sanitize(raw, report)
 
 
+def read_datalog(
+    text: str, *, tolerant: bool
+) -> tuple[Datalog, Datalog | RawLog, IngestReport | None]:
+    """One die's datalog, the evidence the validation oracle judges its
+    report against, and the ingest report: how the CLI and the service
+    read a die.
+
+    Tolerant, :func:`ingest_text` quarantines anomalies instead of
+    refusing the log, and the oracle judges against the raw log the
+    tester emitted.  Strict, :meth:`Datalog.from_text` refuses a
+    malformed log, the oracle judges against the datalog itself, and
+    there is no ingest report.
+    """
+    if tolerant:
+        sanitized = ingest_text(text)
+        return sanitized.datalog, sanitized.raw, sanitized.report
+    datalog = Datalog.from_text(text)
+    return datalog, datalog, None
+
+
 __all__ = [
     "RawRecord",
     "RawLog",
@@ -714,4 +734,5 @@ __all__ = [
     "sanitize",
     "parse_raw_text",
     "ingest_text",
+    "read_datalog",
 ]

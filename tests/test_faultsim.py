@@ -6,7 +6,7 @@ import pytest
 
 from repro.circuit.generators import random_dag, ripple_carry_adder
 from repro.circuit.netlist import Site
-from repro.faults.injection import FaultyCircuit
+from repro.faults.injection import FaultyCircuit, defect_creates_feedback
 from repro.faults.models import (
     BridgeDefect,
     BridgeKind,
@@ -74,28 +74,54 @@ class TestOverridesAgreeWithFullSim:
 
     def test_forward_bridge_fast_path(self, dag, dag_patterns):
         ctx = sim_context(dag, dag_patterns)
-        # Pick a victim whose cone misses some other net -> legal aggressor.
+        # Pick a victim and an aggressor outside each other's cones: a
+        # legal short of every kind.
         victim = dag.topo_order[40]
         cone = dag.fanout_cone([victim])
-        aggressor = next(net for net in dag.nets() if net not in cone)
-        defect = BridgeDefect(victim, aggressor, BridgeKind.DOMINANT)
-        overrides = single_defect_overrides(ctx, defect)
-        assert overrides is not None
-        got = defect_output_diff(ctx, defect)
-        assert got == _reference_diff(dag, dag_patterns, defect)
-        # One overridden site: graded by critical path tracing.
-        detected = 0
-        for delta in got.values():
-            detected |= delta
-        assert detect_vector(ctx, defect) == detected
+        aggressor = next(
+            net
+            for net in dag.nets()
+            if net not in cone and victim not in dag.fanout_cone([net])
+        )
+        for kind in BridgeKind:
+            defect = BridgeDefect(victim, aggressor, kind)
+            overrides = single_defect_overrides(ctx, defect)
+            assert overrides is not None, kind
+            got = defect_output_diff(ctx, defect)
+            assert got == _reference_diff(dag, dag_patterns, defect), kind
+            # A dominant short overrides one site: graded by critical path
+            # tracing; a wired one overrides both nets.
+            detected = 0
+            for delta in got.values():
+                detected |= delta
+            assert detect_vector(ctx, defect) == detected, kind
 
     def test_backward_bridge_falls_back(self, dag, dag_patterns):
         ctx = sim_context(dag, dag_patterns)
         victim = dag.topo_order[5]
         cone = dag.fanout_cone([victim])
         inside = next(net for net in dag.topo_order[6:] if net in cone)
-        defect = BridgeDefect(victim, inside, BridgeKind.DOMINANT)
-        assert single_defect_overrides(ctx, defect) is None
+        for kind in BridgeKind:
+            defect = BridgeDefect(victim, inside, kind)
+            assert defect_creates_feedback(dag, [defect]), kind
+            assert single_defect_overrides(ctx, defect) is None, kind
+
+    def test_wired_bridge_onto_own_cone_falls_back(self, dag, dag_patterns):
+        """A wired short drives the aggressor too, so a victim inside the
+        aggressor's cone closes a loop; a dominant short there does not."""
+        ctx = sim_context(dag, dag_patterns)
+        aggressor = dag.topo_order[5]
+        cone = dag.fanout_cone([aggressor])
+        victim = next(net for net in dag.topo_order[6:] if net in cone)
+        for kind in (BridgeKind.WIRED_AND, BridgeKind.WIRED_OR):
+            defect = BridgeDefect(victim, aggressor, kind)
+            assert defect_creates_feedback(dag, [defect]), kind
+            assert single_defect_overrides(ctx, defect) is None, kind
+        dominant = BridgeDefect(victim, aggressor, BridgeKind.DOMINANT)
+        assert not defect_creates_feedback(dag, [dominant])
+        assert single_defect_overrides(ctx, dominant) is not None
+        got = defect_output_diff(ctx, dominant)
+        assert got == _reference_diff(dag, dag_patterns, dominant)
 
 
 class TestDetection:

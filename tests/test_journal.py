@@ -6,13 +6,16 @@ import json
 
 import pytest
 
+from repro.campaign.driver import CampaignConfig
 from repro.campaign.journal import (
     Journal,
     TrialRecord,
+    config_fingerprint,
     outcome_from_dict,
     outcome_to_dict,
 )
 from repro.campaign.metrics import TrialOutcome
+from repro.core.diagnose import DiagnosisConfig
 from repro.errors import JournalError, TrialError
 
 
@@ -185,6 +188,31 @@ class TestJournalFile:
     def test_append_requires_open(self, tmp_path):
         with pytest.raises(JournalError, match="not open"):
             Journal(tmp_path / "j.jsonl").append(self.record(0))
+
+
+class TestConfigFingerprint:
+    #: The fingerprint of the default alu8 k=2 xcover seed-1 campaign,
+    #: which journals written by earlier versions carry.
+    DEFAULT = "28c8a785359da916"
+
+    @staticmethod
+    def fingerprint(diagnosis_config):
+        return config_fingerprint(
+            CampaignConfig(
+                circuit="alu8",
+                k=2,
+                seed=1,
+                methods=("xcover",),
+                diagnosis_config=diagnosis_config,
+            )
+        )
+
+    def test_default_settings_keep_their_fingerprint(self):
+        assert self.fingerprint(None) == self.DEFAULT
+        assert self.fingerprint(DiagnosisConfig()) == self.DEFAULT
+
+    def test_a_setting_off_its_default_changes_it(self):
+        assert self.fingerprint(DiagnosisConfig(max_expansions=60)) != self.DEFAULT
 
 
 class TestDurability:

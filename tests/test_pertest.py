@@ -75,7 +75,7 @@ class TestExactnessInvariants:
         defects = [StuckAtDefect(Site("b2"), 1)]
         analysis, result = _analysis(rca6, pats, defects)
         idx = result.datalog.failing_indices[0]
-        assert analysis.subset_explains((Site("b2"),), idx)
+        assert analysis.explained_patterns((Site("b2"),), 1 << idx) == {idx}
 
 
 class TestJointFlip:
@@ -132,12 +132,12 @@ class TestMaskingPairSearch:
                 pairs = pair_search(analysis, idx)
                 assert pairs, f"pattern {idx} needs a pair but none found"
                 for a, b2 in pairs:
-                    assert analysis.subset_explains((a, b2), idx)
+                    assert analysis.explained_patterns((a, b2), 1 << idx) == {idx}
                 break
         else:
             # All patterns singleton-explainable: the truth pair must still work.
             idx = result.datalog.failing_indices[0]
-            assert analysis.subset_explains((Site("x"), Site("y")), idx) or True
+            assert analysis.explained_patterns((Site("x"), Site("y")), 1 << idx) or True
 
 
 # -- the shared full-test-set context ------------------------------------------

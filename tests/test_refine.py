@@ -5,7 +5,12 @@ import pytest
 from repro.circuit.netlist import Site
 from repro.core.backtrace import candidate_sites
 from repro.core.pertest import build_pertest
-from repro.core.refine import RefineConfig, _aggressor_pool, allocate_hypotheses
+from repro.core.refine import (
+    BRIDGE_LEVEL_DISTANCE,
+    MAX_AGGRESSORS,
+    _aggressor_pool,
+    allocate_hypotheses,
+)
 from repro.faults.models import (
     BridgeDefect,
     StuckAtDefect,
@@ -29,13 +34,13 @@ def pats(rca6):
     return PatternSet.random(rca6, 40, seed=41)
 
 
-def _hypotheses(netlist, patterns, defects, site, config=None):
+def _hypotheses(netlist, patterns, defects, site, vindicate=True):
     result = apply_test(netlist, patterns, defects)
     assert result.device_fails
     ctx = sim_context(netlist, patterns)
     envelope = candidate_sites(netlist, result.datalog)
     pt = build_pertest(ctx, result.datalog, envelope)
-    return allocate_hypotheses(ctx, result.datalog, site, pt, config)
+    return allocate_hypotheses(ctx, result.datalog, site, pt, vindicate=vindicate)
 
 
 class TestStuckAllocation:
@@ -91,12 +96,6 @@ class TestBridgeAllocation:
         bridges = [h for h in hyps if h.kind == "bridge"]
         assert any(h.aggressor == aggressor for h in bridges) or hyps[0].hits > 0
 
-    def test_bridge_disabled_by_config(self, rca6, pats):
-        site = Site("b2")
-        config = RefineConfig(try_bridges=False)
-        hyps = _hypotheses(rca6, pats, [StuckAtDefect(site, 1)], site, config)
-        assert all(h.kind != "bridge" for h in hyps)
-
 
 class TestTransitionAllocation:
     def test_slow_to_rise_detected(self, rca6, pats):
@@ -113,24 +112,12 @@ class TestTransitionAllocation:
         if hyps[0].kind == "str":
             assert hyps[0].misses == 0
 
-    def test_transitions_disabled_by_config(self, rca6, pats):
-        site = Site("b2")
-        config = RefineConfig(try_transitions=False)
-        hyps = _hypotheses(rca6, pats, [StuckAtDefect(site, 1)], site, config)
-        assert all(h.kind not in ("str", "stf") for h in hyps)
-
 
 class TestVindicationKnob:
     def test_vindication_off_keeps_contradicted_models(self, rca6, pats):
         site = Site("b2")
         strict = _hypotheses(rca6, pats, [StuckAtDefect(site, 1)], site)
-        lax = _hypotheses(
-            rca6,
-            pats,
-            [StuckAtDefect(site, 1)],
-            site,
-            RefineConfig(vindicate=False),
-        )
+        lax = _hypotheses(rca6, pats, [StuckAtDefect(site, 1)], site, vindicate=False)
         assert len(lax) >= len(strict)
         assert any(h.false_alarms > 0 for h in lax) or len(lax) == len(strict)
 
@@ -139,7 +126,7 @@ class TestAggressorPool:
     """The level-band scan picks the pool a scan of every net picks."""
 
     @staticmethod
-    def _full_scan(netlist, site, base, evidence, config):
+    def _full_scan(netlist, site, base, evidence):
         victim = site.net
         relevant = {idx for idx, _out in evidence.atoms_of(site)}
         if not relevant:
@@ -150,16 +137,13 @@ class TestAggressorPool:
         for net in netlist.nets():
             if net == victim or net in victim_cone:
                 continue
-            if (
-                abs(netlist.level(net) - netlist.level(victim))
-                > config.bridge_level_distance
-            ):
+            if abs(netlist.level(net) - netlist.level(victim)) > BRIDGE_LEVEL_DISTANCE:
                 continue
             count = bin((base[net] ^ base[victim]) & relevance_mask).count("1")
             if count:
                 scored.append((count, net))
         scored.sort(key=lambda kv: (-kv[0], kv[1]))
-        return [net for _count, net in scored[: config.max_aggressors]]
+        return [net for _count, net in scored[:MAX_AGGRESSORS]]
 
     @pytest.mark.parametrize("name", ["mul8", "alu16", "rnd100"])
     def test_band_scan_equals_full_scan(self, name):
@@ -174,8 +158,7 @@ class TestAggressorPool:
         evidence = build_pertest(
             ctx, result.datalog, candidate_sites(netlist, result.datalog)
         )
-        for config in (RefineConfig(), RefineConfig(bridge_level_distance=0)):
-            for site in netlist.sites(include_branches=False):
-                assert _aggressor_pool(
-                    ctx, site, evidence, config
-                ) == self._full_scan(netlist, site, ctx.base, evidence, config), site
+        for site in netlist.sites(include_branches=False):
+            assert _aggressor_pool(ctx, site, evidence) == self._full_scan(
+                netlist, site, ctx.base, evidence
+            ), site
