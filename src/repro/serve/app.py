@@ -24,7 +24,10 @@ Robustness model:
 
 Endpoints::
 
-    POST   /jobs        submit {"circuit": ..., "datalog": ..., ...}
+    POST   /jobs        submit {"circuit": ..., "datalog": ..., ...}; 200 with
+                        the finished job when it settles within
+                        SUBMIT_WAIT_S, else 202 (at once under
+                        ``Prefer: respond-async``)
     GET    /jobs        list jobs + per-state counts
     GET    /jobs/<id>   status, report when done
     DELETE /jobs/<id>   cooperative cancel
@@ -68,6 +71,15 @@ from repro.serve.protocol import (
     canonical_report_dict,
 )
 from repro.serve.store import JobStore, StoredJob
+
+#: Longest a submission over HTTP waits for its job to settle before it is
+#: answered with 202.  A job that finishes inside it comes back finished,
+#: which saves its client a poll interval and a round trip.  Of the waits
+#: compared (0.05, 0.1 and 0.25 s), it is the shortest that also answers a
+#: shard's first, cold job (up to 0.2 s on ``alu16``) on its submission;
+#: none cost throughput on traffic the wait does not help
+#: (``benchmarks/bench_submit_traffic.py``).
+SUBMIT_WAIT_S = 0.25
 
 
 @dataclass
@@ -246,7 +258,9 @@ class DiagnosisDaemon(ExecutorCallbacks):
         )
         self.update_gauges()
 
-    def submit(self, spec: JobSpec) -> Response:
+    def submit(self, spec: JobSpec, wait: float = 0.0) -> Response:
+        """Admit a job; a job that settles within ``wait`` seconds is
+        answered 200 with the body ``GET /jobs/<id>`` gives."""
         with self._lock:
             if self._draining:
                 record_admission_rejected("draining")
@@ -282,14 +296,16 @@ class DiagnosisDaemon(ExecutorCallbacks):
             # /healthz flips until the store writes again.
             record_admission_rejected("store_error")
             raise
-        if not created:
-            # Idempotent resubmission: point at the existing job.
+        if created:
+            record_job_transition(STATE_SUBMITTED)
+            if degraded:
+                record_degraded_admission()
+            self._enqueue(job)
+        if wait > 0 and self.store.wait_terminal(job.job_id, wait).terminal:
             return Response.json(200, job.status_dict())
-        record_job_transition(STATE_SUBMITTED)
-        if degraded:
-            record_degraded_admission()
-        self._enqueue(job)
-        return Response.json(202, job.status_dict())
+        # 202 for a new job; an idempotent resubmission points at the
+        # existing one with 200.
+        return Response.json(202 if created else 200, job.status_dict())
 
     def cancel(self, job_id: str) -> Response:
         job = self.store.get(job_id)
@@ -422,18 +438,26 @@ class DiagnosisDaemon(ExecutorCallbacks):
 
     # -- the request surface (fake-transport harness + HTTP handler) ---------
 
-    def handle(self, method: str, path: str, body: bytes | None = None) -> Response:
-        """Dispatch one request; the HTTP layer is a thin wrapper over this."""
-        return handle_request(self, method, path, body)
+    def handle(
+        self, method: str, path: str, body: bytes | None = None, wait: float = 0.0
+    ) -> Response:
+        """Dispatch one request; the HTTP layer is a thin wrapper over this.
+
+        ``wait`` bounds how long a submission waits for its job to settle;
+        the default answers at once.
+        """
+        return handle_request(self, method, path, body, wait)
 
 
-def handle_request(node, method: str, path: str, body: bytes | None) -> Response:
+def handle_request(
+    node, method: str, path: str, body: bytes | None, wait: float
+) -> Response:
     """The job protocol's route table, one for every role.
 
     ``node`` is a :class:`DiagnosisDaemon` or a cluster
     :class:`~repro.serve.cluster.coordinator.Coordinator`; each supplies
     its ``store``, ``readiness()``, ``cluster_status()``,
-    ``update_gauges()``, ``submit(spec)`` and ``cancel(job_id)``.
+    ``update_gauges()``, ``submit(spec, wait)`` and ``cancel(job_id)``.
     """
     path = path.split("?", 1)[0].rstrip("/") or "/"
     try:
@@ -464,7 +488,7 @@ def handle_request(node, method: str, path: str, body: bytes | None) -> Response
                 payload = json.loads((body or b"").decode() or "null")
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 return Response.json(400, {"error": f"bad JSON body: {exc}"})
-            return node.submit(JobSpec.from_dict(payload))
+            return node.submit(JobSpec.from_dict(payload), wait)
         if method == "GET" and path == "/jobs":
             return Response.json(
                 200,
@@ -513,6 +537,9 @@ class _Handler(BaseHTTPRequestHandler):
     headers and body leave in one write.  A keep-alive client delays the
     ACK of a small segment by up to ~40 ms, and with Nagle on, a second
     small write (the body after the headers) waits for exactly that ACK.
+
+    A submission waits up to :data:`SUBMIT_WAIT_S` for its job to settle,
+    unless the request carries RFC 7240's ``Prefer: respond-async``.
     """
 
     server_version = "repro-serve"
@@ -546,7 +573,10 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             length = int(digits)
             body = self.rfile.read(length) if length else b""
-            response = self.server.daemon.handle(self.command, self.path, body)
+            wait = 0.0 if self._prefers_async() else SUBMIT_WAIT_S
+            response = self.server.daemon.handle(
+                self.command, self.path, body, wait
+            )
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(response.body)))
@@ -554,6 +584,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(key, value)
         self.end_headers()
         self.wfile.write(response.body)
+
+    def _prefers_async(self) -> bool:
+        return any(
+            token.split(";", 1)[0].strip().lower() == "respond-async"
+            for value in self.headers.get_all("Prefer", ())
+            for token in value.split(",")
+        )
 
     do_GET = _dispatch
     do_POST = _dispatch

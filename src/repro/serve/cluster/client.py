@@ -52,8 +52,15 @@ class NodeUnreachable(Exception):
 def urllib_transport(
     url: str, method: str, body: bytes | None, timeout: float
 ) -> tuple[int, bytes]:
-    """Default transport: one stdlib HTTP request, no redirects needed."""
-    headers = {"Content-Type": "application/json"} if body else {}
+    """Default transport: one stdlib HTTP request, no redirects needed.
+
+    Every request prefers an immediate answer (RFC 7240
+    ``respond-async``): the coordinator dispatches from one pump thread,
+    and a submission held until its job settles would stall the fabric.
+    """
+    headers = {"Prefer": "respond-async"}
+    if body:
+        headers["Content-Type"] = "application/json"
     request = urllib.request.Request(
         url, data=body, method=method, headers=headers
     )

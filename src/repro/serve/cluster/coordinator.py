@@ -288,7 +288,12 @@ class Coordinator:
             ),
         )
 
-    def submit(self, spec: JobSpec) -> Response:
+    def submit(self, spec: JobSpec, wait: float = 0.0) -> Response:
+        """Admit a job, answered at once whatever ``wait`` asks.
+
+        A job settles here only at a pump pass, every ``pump_interval``,
+        so a wait would mostly run to its bound.
+        """
         with self._lock:
             if self._draining:
                 record_admission_rejected("draining")
@@ -633,10 +638,10 @@ class Coordinator:
     # -- the request surface -------------------------------------------------
 
     def handle(
-        self, method: str, path: str, body: bytes | None = None
+        self, method: str, path: str, body: bytes | None = None, wait: float = 0.0
     ) -> Response:
         """Same route table the worker daemon serves."""
-        return handle_request(self, method, path, body)
+        return handle_request(self, method, path, body, wait)
 
 
 # -- process entrypoint ------------------------------------------------------

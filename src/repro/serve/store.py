@@ -142,6 +142,8 @@ class JobStore:
         #: journaled grant without a matching release (coordinator role).
         self._leases: dict[str, dict] = {}
         self._lock = threading.RLock()
+        #: Notified, under :attr:`_lock`, whenever a job becomes terminal.
+        self._settled = threading.Condition(self._lock)
         self._clock = clock
         #: Compaction triggers: journal size floor and/or store age.  Both
         #: ``None`` (the default) disables automatic compaction entirely.
@@ -364,25 +366,25 @@ class JobStore:
             }
             record.update(extra)
             self._append(record)
+            # The report or error goes in before the state, in the same
+            # locked step, so no reader sees a terminal state without it.
+            job.report = extra.get("report")
+            job.error = extra.get("error")
             job.state = state
             if "attempts" in extra:
                 job.attempts = int(extra["attempts"])
+            if job.terminal:
+                self._settled.notify_all()
             return job
 
     def mark_running(self, job_id: str, attempt: int) -> StoredJob:
         return self._transition(job_id, STATE_RUNNING, attempts=attempt)
 
     def mark_done(self, job_id: str, report: dict) -> StoredJob:
-        job = self._transition(job_id, STATE_DONE, report=report)
-        if job.state == STATE_DONE:
-            job.report = report
-        return job
+        return self._transition(job_id, STATE_DONE, report=report)
 
     def mark_failed(self, job_id: str, error: dict) -> StoredJob:
-        job = self._transition(job_id, STATE_FAILED, error=error)
-        if job.state == STATE_FAILED:
-            job.error = error
-        return job
+        return self._transition(job_id, STATE_FAILED, error=error)
 
     def mark_cancelled(self, job_id: str) -> StoredJob:
         return self._transition(job_id, STATE_CANCELLED)
@@ -652,6 +654,17 @@ class JobStore:
     def get(self, job_id: str) -> StoredJob | None:
         with self._lock:
             return self._jobs.get(job_id)
+
+    def wait_terminal(self, job_id: str, timeout: float) -> StoredJob:
+        """The job once terminal, or as it stands after ``timeout`` seconds.
+
+        A job's terminal record is journaled before waiters wake, so what
+        this returns is already durable.
+        """
+        with self._settled:
+            job = self._jobs[job_id]
+            self._settled.wait_for(lambda: job.terminal, timeout)
+            return job
 
     def jobs(self) -> list[StoredJob]:
         """All jobs, submission order."""

@@ -104,40 +104,36 @@ class TestJointFlip:
 
 
 class TestMaskingPairSearch:
-    def build_masking_case(self):
-        """z = AND(x, y) reconverging so that two defects must act jointly.
+    def build_two_cone_case(self):
+        """z1 = AND(p, q) and z2 = AND(r, s): two cones sharing no site.
 
-        x stuck-0 masks everything downstream; only flipping x AND the
-        y-side defect simultaneously reproduces some observed failures.
+        With p and r stuck-at-1, a pattern that fails both outputs has no
+        single site in both fan-in cones, so only a pair explains it.
         """
-        b = NetlistBuilder("mask2")
-        p, q, r = b.inputs("p", "q", "r")
-        x = b.and_(p, q, name="x")
-        y = b.or_(q, r, name="y")
-        b.output(b.and_(x, y, name="z"))
+        b = NetlistBuilder("pair2")
+        p, q, r, s = b.inputs("p", "q", "r", "s")
+        b.output(b.and_(p, q, name="z1"))
+        b.output(b.and_(r, s, name="z2"))
         return b.build()
 
     def test_pair_found_for_joint_sensitization(self):
-        n = self.build_masking_case()
+        n = self.build_two_cone_case()
         pats = PatternSet.exhaustive(n)
-        # Two defects: x sa1 and y sa... choose values so some pattern needs both.
-        defects = [StuckAtDefect(Site("x"), 1), StuckAtDefect(Site("y"), 1)]
+        defects = [StuckAtDefect(Site("p"), 1), StuckAtDefect(Site("r"), 1)]
         result = apply_test(n, pats, defects)
         envelope = candidate_sites(n, result.datalog)
         analysis = build_pertest(sim_context(n, pats), result.datalog, envelope)
-        # Find a failing pattern with no singleton explanation, if any;
-        # on it, the pair search must produce an exact pair.
-        for idx in result.datalog.failing_indices:
-            if not analysis.exact_singletons[idx]:
-                pairs = pair_search(analysis, idx)
-                assert pairs, f"pattern {idx} needs a pair but none found"
-                for a, b2 in pairs:
-                    assert analysis.explained_patterns((a, b2), 1 << idx) == {idx}
-                break
-        else:
-            # All patterns singleton-explainable: the truth pair must still work.
-            idx = result.datalog.failing_indices[0]
-            assert analysis.explained_patterns((Site("x"), Site("y")), 1 << idx) or True
+        needs_pair = [
+            idx
+            for idx in result.datalog.failing_indices
+            if not analysis.exact_singletons[idx]
+        ]
+        assert needs_pair, "every failing pattern has a singleton explainer"
+        for idx in needs_pair:
+            pairs = pair_search(analysis, idx)
+            assert (Site("p"), Site("r")) in pairs
+            for a, b2 in pairs:
+                assert analysis.explained_patterns((a, b2), 1 << idx) == {idx}
 
 
 # -- the shared full-test-set context ------------------------------------------

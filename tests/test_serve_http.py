@@ -3,8 +3,9 @@
 ``test_serve_daemon.py`` covers the daemon through the transport-free
 ``handle()``; these tests bind a real listener because what they check
 lives in the handler itself: how a response is written onto a keep-alive
-connection, and what a malformed or oversized ``Content-Length`` does to
-it.
+connection, how long a submission waits for its job and what a
+``Prefer: respond-async`` does to that, and what a malformed or oversized
+``Content-Length`` does to the connection.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ import pytest
 
 from repro import apply_test, load_circuit, provision_patterns, sample_defect_set
 from repro.obs.metrics import REGISTRY
-from repro.serve.app import MAX_BODY_BYTES, DiagnosisDaemon, ServeConfig, bind_server
+from repro.serve.app import (
+    MAX_BODY_BYTES,
+    SUBMIT_WAIT_S,
+    DiagnosisDaemon,
+    ServeConfig,
+    bind_server,
+)
+from repro.serve.cluster.client import urllib_transport
+from repro.serve.executor import execute_job
 
 #: Linux holds a delayed ACK for up to 40 ms; a response that waits for
 #: one costs about that much.
@@ -27,21 +36,36 @@ DELAYED_ACK_S = 0.04
 
 
 @pytest.fixture
-def live(tmp_path):
+def listen(tmp_path):
+    """Start a daemon running ``run`` behind a bound listener; returns
+    its ``(host, port)``."""
+    REGISTRY.reset()
+    started = []
+
+    def make(run=execute_job):
+        daemon = DiagnosisDaemon(
+            ServeConfig(store=tmp_path / "jobs.jsonl", port=0, fsync=False),
+            run=run,
+        )
+        daemon.start()
+        server = bind_server(daemon.config, daemon)
+        listener = threading.Thread(target=server.serve_forever, daemon=True)
+        listener.start()
+        started.append((daemon, server))
+        return server.server_address[:2]
+
+    yield make
+    for daemon, server in started:
+        server.shutdown()
+        server.server_close()
+        daemon.drain()
+    REGISTRY.reset()
+
+
+@pytest.fixture
+def live(listen):
     """A started daemon (real ``execute_job``) behind a bound listener."""
-    REGISTRY.reset()
-    daemon = DiagnosisDaemon(
-        ServeConfig(store=tmp_path / "jobs.jsonl", port=0, fsync=False)
-    )
-    daemon.start()
-    server = bind_server(daemon.config, daemon)
-    listener = threading.Thread(target=server.serve_forever, daemon=True)
-    listener.start()
-    yield server.server_address[:2]
-    server.shutdown()
-    server.server_close()
-    daemon.drain()
-    REGISTRY.reset()
+    return listen()
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +81,47 @@ def c17_datalog() -> str:
     raise AssertionError("no failing c17 die in 99 seeds")
 
 
+def _post(host: str, port: int, payload: dict) -> tuple[int, dict, float]:
+    """POST one job on a fresh connection: status, body and seconds taken."""
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    started = time.perf_counter()
+    conn.request(
+        "POST",
+        "/jobs",
+        body=json.dumps(payload),
+        headers={"Content-Type": "application/json"},
+    )
+    response = conn.getresponse()
+    body = json.loads(response.read())
+    elapsed = time.perf_counter() - started
+    conn.close()
+    return response.status, body, elapsed
+
+
+def _get_job(host: str, port: int, job_id: str) -> dict:
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    conn.request("GET", f"/jobs/{job_id}")
+    response = conn.getresponse()
+    assert response.status == 200
+    job = json.loads(response.read())
+    conn.close()
+    return job
+
+
+def _wait_done(host: str, port: int, ids: list[str]) -> None:
+    deadline = time.monotonic() + 10
+    while any(_get_job(host, port, i)["state"] != "done" for i in ids):
+        assert time.monotonic() < deadline, "jobs never finished"
+        time.sleep(0.01)
+
+
 def test_keep_alive_requests_are_not_held_for_delayed_acks(live, c17_datalog):
     host, port = live
+    payload = {"circuit": "c17", "datalog": c17_datalog}
+    # Run the job first, so the timed POST is a resubmission of a finished
+    # job, answered at once, and the timing covers only the transport.
+    _, job, _ = _post(host, port, payload)
+    _wait_done(host, port, [job["id"]])
     conn = http.client.HTTPConnection(host, port, timeout=10)
     conn.connect()
     requests = 20
@@ -67,11 +130,11 @@ def test_keep_alive_requests_are_not_held_for_delayed_acks(live, c17_datalog):
     conn.request(
         "POST",
         "/jobs",
-        body=json.dumps({"circuit": "c17", "datalog": c17_datalog}),
+        body=json.dumps(payload),
         headers={"Content-Type": "application/json"},
     )
     response = conn.getresponse()
-    job = json.loads(response.read())
+    response.read()
     statuses.append(response.status)
     for i in range(requests - 1):
         conn.request("GET", f"/jobs/{job['id']}" if i % 2 else "/healthz")
@@ -80,9 +143,53 @@ def test_keep_alive_requests_are_not_held_for_delayed_acks(live, c17_datalog):
         statuses.append(response.status)
     elapsed = time.perf_counter() - started
     conn.close()
-    assert statuses == [202] + [200] * (requests - 1)
+    # The resubmitted job is finished, so its POST answers 200, not 202.
+    assert statuses == [200] * requests
     # A delayed-ACK stall on most of them would take ~0.8 s.
     assert elapsed < requests * DELAYED_ACK_S / 3, f"{elapsed:.3f}s"
+
+
+def test_a_fast_job_is_answered_finished_on_submission(live, c17_datalog):
+    host, port = live
+    payload = {"circuit": "c17", "datalog": c17_datalog}
+    status, job, _ = _post(host, port, payload)
+    assert status == 200
+    assert job["state"] == "done"
+    assert job == _get_job(host, port, job["id"])
+    # A resubmission of a finished job is answered at once.
+    status, again, elapsed = _post(host, port, payload)
+    assert (status, again) == (200, job)
+    assert elapsed < SUBMIT_WAIT_S / 2, f"{elapsed:.3f}s"
+
+
+def test_a_job_that_outlasts_the_wait_is_answered_202(listen, c17_datalog):
+    release = threading.Event()
+
+    def blocked(spec, token=None, degraded=False):
+        release.wait(10)
+        return execute_job(spec, token, degraded)
+
+    host, port = listen(blocked)
+    quick = {"circuit": "c17", "datalog": c17_datalog + "# respond-async\n"}
+    held = {"circuit": "c17", "datalog": c17_datalog + "# held\n"}
+    try:
+        # The coordinator's transport prefers an asynchronous answer, so
+        # its dispatch is answered at once.
+        started = time.perf_counter()
+        status, raw = urllib_transport(
+            f"http://{host}:{port}/jobs", "POST", json.dumps(quick).encode(), 10
+        )
+        elapsed = time.perf_counter() - started
+        assert status == 202, raw
+        assert elapsed < SUBMIT_WAIT_S / 2, f"{elapsed:.3f}s"
+        # Without the preference the submission waits for its job first.
+        status, job, elapsed = _post(host, port, held)
+        assert status == 202
+        assert job["state"] in ("submitted", "running")
+        assert elapsed >= SUBMIT_WAIT_S * 0.9, f"{elapsed:.3f}s"
+    finally:
+        release.set()
+    _wait_done(host, port, [json.loads(raw)["id"], job["id"]])
 
 
 def _raw_exchange(host: str, port: int, request: bytes) -> bytes:

@@ -91,25 +91,39 @@ class Daemon:
                 return self
         raise AssertionError("daemon never printed its listening banner")
 
-    def request(self, method: str, path: str, payload=None):
+    def request(self, method: str, path: str, payload=None, headers=None):
         conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=10)
         try:
             body = None if payload is None else json.dumps(payload).encode()
             conn.request(
                 method, path, body=body,
-                headers={"Content-Type": "application/json"},
+                headers={"Content-Type": "application/json", **(headers or {})},
             )
             resp = conn.getresponse()
             return resp.status, resp.read()
         finally:
             conn.close()
 
-    def submit(self, datalog: str, circuit: str = "c17", **extra) -> str:
+    def submit(
+        self, datalog: str, circuit: str = "c17", *, respond_async=False, **extra
+    ) -> str:
+        """POST a job; ``respond_async`` asks for the answer before the job
+        settles, so a caller can act while it runs."""
         payload = {"circuit": circuit, "datalog": datalog}
         payload.update(extra)
-        status, raw = self.request("POST", "/jobs", payload)
+        headers = {"Prefer": "respond-async"} if respond_async else None
+        status, raw = self.request("POST", "/jobs", payload, headers)
         assert status in (200, 202), raw
         return json.loads(raw)["id"]
+
+    def wait_running(self, job_id: str, timeout: float = 10.0) -> None:
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            _, raw = self.request("GET", f"/jobs/{job_id}")
+            if json.loads(raw)["state"] == "running":
+                return
+            time.sleep(0.05)
+        raise AssertionError("job never started running")
 
     def wait_job(self, job_id: str, timeout: float = 60.0) -> dict:
         deadline = time.monotonic() + timeout
@@ -208,9 +222,9 @@ class TestKillMidJob:
 
         store = tmp_path / "victim.jsonl"
         victim = spawn(store=store, fsync=True).wait_ready()
-        job_id = victim.submit(datalog, circuit="alu8")
+        job_id = victim.submit(datalog, circuit="alu8", respond_async=True)
         assert job_id == ref_id  # same spec, same fingerprint, same id
-        time.sleep(0.35)  # land inside the multi-second diagnosis
+        victim.wait_running(job_id)  # the kill lands inside the diagnosis
         victim.kill9()
 
         revived = spawn(store=store, fsync=True).wait_ready(timeout=60)
@@ -236,14 +250,7 @@ class TestSignalOrderings:
             store=tmp_path / "int.jsonl",
         ).wait_ready()
         job_id = daemon.submit(datalog_c17)
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            status, raw = daemon.request("GET", f"/jobs/{job_id}")
-            if json.loads(raw)["state"] == "running":
-                break
-            time.sleep(0.05)
-        else:
-            raise AssertionError("job never started running")
+        daemon.wait_running(job_id)
 
         daemon.proc.send_signal(signal.SIGINT)
         time.sleep(0.5)  # the drain is now waiting on the wedged worker

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -73,6 +76,68 @@ class TestTransitions:
     def test_unknown_job_raises(self, store):
         with pytest.raises(ServeError):
             store.mark_running("jnope", attempt=1)
+
+    def test_a_terminal_state_is_published_with_its_report(self, tmp_path):
+        # What a reader sees the moment the locked transition step ends: a
+        # ``done`` without its report would be served, and harvested by a
+        # coordinator, as a report of {}.
+        seen = []
+
+        class Observed(JobStore):
+            def _transition(self, job_id, state, **extra):
+                job = super()._transition(job_id, state, **extra)
+                seen.append(job.status_dict())
+                return job
+
+        store = Observed(tmp_path / "jobs.jsonl", fsync=False)
+        store.open()
+        done, _ = store.submit(make_spec("done"))
+        failed, _ = store.submit(make_spec("failed"))
+        store.mark_done(done.job_id, {"multiplets": []})
+        store.mark_failed(failed.job_id, {"cause": "exception"})
+        store.close()
+        published = [
+            (job["state"], job.get("report"), job.get("error")) for job in seen
+        ]
+        assert published == [
+            ("done", {"multiplets": []}, None),
+            ("failed", None, {"cause": "exception"}),
+        ]
+
+
+class TestWaitTerminal:
+    def test_waiters_wake_with_their_reports_under_contention(self, store):
+        # More threads than cores and a tiny switch interval, so waits,
+        # transitions and wake-ups interleave as tightly as they can; a
+        # lost wake-up would hold its waiter to the timeout.
+        jobs = [store.submit(make_spec(f"w{i}"))[0] for i in range(16)]
+        seen = {}
+
+        def wait(job):
+            seen[job.job_id] = store.wait_terminal(job.job_id, 10).status_dict()
+
+        def finish(job):
+            store.mark_done(job.job_id, {"tag": job.job_id})
+
+        threads = [threading.Thread(target=wait, args=(job,)) for job in jobs]
+        threads += [threading.Thread(target=finish, args=(job,)) for job in jobs]
+        started = time.monotonic()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert time.monotonic() - started < 5
+        settled = {
+            job_id: (status["state"], status["report"])
+            for job_id, status in seen.items()
+        }
+        assert settled == {job.job_id: ("done", {"tag": job.job_id}) for job in jobs}
 
 
 class TestReplay:
